@@ -2,8 +2,8 @@
 # Full pre-merge check: build + test the release config, then the
 # ASan+UBSan config, then the TSan config (tests only; benchmarks are
 # skipped under sanitizers). The TSan stage runs the concurrency-sensitive
-# tests: buffer-pool striping, the worker pool, and the parallel-join
-# determinism suite.
+# tests: buffer-pool striping, the worker pool, the pairing heap's per-shard
+# arena build, and the parallel-join determinism suite.
 #
 #   scripts/check.sh            # all three configs
 #   scripts/check.sh release    # release only
@@ -106,7 +106,7 @@ run_tsan() {
   echo "=== tsan: configure + build + concurrency tests ==="
   cmake --preset tsan
   cmake --build --preset tsan
-  ctest --preset tsan -R 'BufferPoolConcurrency|ThreadPool|ParallelJoin'
+  ctest --preset tsan -R 'BufferPoolConcurrency|ThreadPool|PairingHeap|ParallelJoin'
 }
 
 case "${1:-all}" in

@@ -18,8 +18,8 @@
 //   * SaveCore/RestoreCore: serialization of the queue (entries + tier
 //     frontier), sequence counter, status, and statistics, with pool-counter
 //     rebasing across the suspend/resume boundary;
-//   * RectBatch decode-and-score scratch, and the parallel classify /
-//     slot-ordered serial merge that keeps multi-threaded expansion
+//   * RectBatch decode-and-score scratch, and the sharded classify plus
+//     in-place queue build that keeps multi-threaded expansion
 //     bit-identical to serial (DESIGN.md §10).
 //
 // A concrete engine derives from this class (CRTP — `Derived` is the policy;
@@ -222,7 +222,7 @@ class BestFirstEngine {
   // counter so later enqueues tie-break exactly as a serial continuation.
   void AdoptPlanEntries(const std::vector<PairEntry<Dim>>& entries,
                         uint64_t next_seq) {
-    queue_->PushBulk(entries.data(), entries.size());
+    for (const Entry& e : entries) queue_->Push(e);
     next_seq_ = next_seq;
   }
 
@@ -245,6 +245,7 @@ class BestFirstEngine {
       : config_(config),
         pools_(std::move(pools)),
         workers_(config.num_threads),
+        tallies_(workers_.num_threads()),
         base_node_misses_(PoolMisses()),
         base_node_accesses_(PoolAccesses()),
         base_io_retries_(PoolRetries()),
@@ -374,7 +375,7 @@ class BestFirstEngine {
     }
   }
 
-  // ---- batched classify + slot-ordered merge (DESIGN.md §10) ----
+  // ---- sharded classify + in-place build (DESIGN.md §10) ----
 
   // The pure per-candidate acceptance ladder ClassifyAndEnqueue applies —
   // everything it consults must be immutable across one expansion.
@@ -390,13 +391,27 @@ class BestFirstEngine {
     Metric metric = Metric::kEuclidean;
   };
 
-  // Candidate slot verdicts from the classify pass. The merge step derives
-  // the serial engine's exact counter increments from the verdict alone.
+  // Candidate slot verdicts from the classify pass. Each verdict alone
+  // determines the serial engine's counter increments for its slot.
   enum SlotState : uint8_t {
     kSlotFilter = 0,    // window rejected (no distance computed)
     kSlotRangeMax = 1,  // MINDIST above Dmax (one distance calc)
     kSlotRangeMin = 2,  // join d_max below Dmin (two distance calcs)
     kSlotAccept = 3,    // entry built (1 + need_join_dmax calcs)
+    kNumSlotStates = 4,
+  };
+
+  // An accepted slot's scores, kept from classify to build.
+  struct SlotScore {
+    double distance;
+    double key;
+  };
+
+  // One classify shard's verdict counts, indexed by SlotState. Aligned:
+  // shards write their own tallies concurrently and read the others' after
+  // the rendezvous.
+  struct alignas(64) ShardTally {
+    uint64_t verdicts[kNumSlotStates] = {};
   };
 
   // Classifies n candidate pairs through the acceptance ladder and enqueues
@@ -404,89 +419,95 @@ class BestFirstEngine {
   // when non-null, holds PairMinDist per slot from a batch kernel;
   // object_pair says both sides are exact objects (the Dist. Calc. counter).
   //
-  // Determinism: shards are static index ranges (util/thread_pool.h), each
-  // slot's verdict and entry are pure functions of that slot, and the merge
-  // walks slots in order — accumulating counters, assigning seq to
-  // survivors, bulk-pushing them — so the output stream is bit-identical to
-  // the serial engine's for any thread count.
+  // Each shard classifies its static slot range (util/thread_pool.h) and
+  // tallies the verdicts. The shards then rendezvous, and each builds its
+  // survivors straight into queue storage (PairQueue::BulkWriter) with
+  // seq = base + the accepted slots before it in slot order. A one-shard
+  // batch (num_threads == 1, or fewer than kParallelGrain candidates) runs
+  // the same code inline. Every verdict, entry and seq is a pure function
+  // of its slot and the counters are sums of verdicts, so the stream and
+  // stats are bit-identical to the serial engine's for any thread count.
   template <typename GetA, typename GetB>
   void ClassifyAndEnqueue(const ClassifySpec& spec, size_t n,
                           const double* pre_mind, bool object_pair,
                           const GetA& get_a, const GetB& get_b) {
-    slot_entries_.resize(n);
+    if (n == 0) return;
+    const bool parallel = workers_.num_threads() > 1 && n >= kParallelGrain;
+    const size_t shards = parallel ? workers_.num_threads() : 1;
     slot_state_.resize(n);
-    const std::function<void(size_t, size_t)> classify = [&](size_t begin,
-                                                             size_t end) {
+    slot_score_.resize(n);
+    const uint64_t base_seq = next_seq_;
+    const auto classify = [&](size_t i) -> SlotState {
+      const Item& a = get_a(i);
+      const Item& b = get_b(i);
+      if ((spec.window1 != nullptr && !a.rect.Intersects(*spec.window1)) ||
+          (spec.window2 != nullptr && !b.rect.Intersects(*spec.window2))) {
+        return kSlotFilter;
+      }
+      const double d =
+          pre_mind != nullptr ? pre_mind[i] : PairMinDist(a, b, spec.metric);
+      if (d > spec.max_distance) return kSlotRangeMax;
+      double join_dmax = kInf;
+      if (spec.need_join_dmax) {
+        join_dmax = PairMaxDist(a, b, spec.metric);
+        if (join_dmax < spec.min_distance) return kSlotRangeMin;
+      }
+      slot_score_[i] = {d, spec.reverse_order ? -join_dmax : d};
+      return kSlotAccept;
+    };
+    const auto run_shard = [&](size_t shard, size_t begin, size_t end) {
+      ShardTally& tally = tallies_[shard];
+      tally = ShardTally{};
       for (size_t i = begin; i < end; ++i) {
-        const Item& a = get_a(i);
-        const Item& b = get_b(i);
-        if (spec.window1 != nullptr && !a.rect.Intersects(*spec.window1)) {
-          slot_state_[i] = kSlotFilter;
-          continue;
-        }
-        if (spec.window2 != nullptr && !b.rect.Intersects(*spec.window2)) {
-          slot_state_[i] = kSlotFilter;
-          continue;
-        }
-        const double d =
-            pre_mind != nullptr ? pre_mind[i] : PairMinDist(a, b, spec.metric);
-        if (d > spec.max_distance) {
-          slot_state_[i] = kSlotRangeMax;
-          continue;
-        }
-        double join_dmax = kInf;
-        if (spec.need_join_dmax) {
-          join_dmax = PairMaxDist(a, b, spec.metric);
-          if (join_dmax < spec.min_distance) {
-            slot_state_[i] = kSlotRangeMin;
-            continue;
-          }
-        }
-        Entry& entry = slot_entries_[i];
-        entry.distance = d;
-        entry.item1 = a;
-        entry.item2 = b;
-        entry.seq = 0;  // assigned in the in-order merge below
-        FinalizePairMetadata(&entry);
-        entry.key = spec.reverse_order ? -join_dmax : d;
-        slot_state_[i] = kSlotAccept;
+        slot_state_[i] = classify(i);
+        ++tally.verdicts[slot_state_[i]];
+      }
+      if (parallel) workers_.Rendezvous();
+      size_t first = 0;
+      for (size_t s = 0; s < shard; ++s) {
+        first += tallies_[s].verdicts[kSlotAccept];
+      }
+      PairQueueWriter<Dim> out =
+          queue_->BulkWriter(shard, first, tally.verdicts[kSlotAccept]);
+      uint64_t seq = base_seq + first;
+      for (size_t i = begin; i < end; ++i) {
+        if (slot_state_[i] != kSlotAccept) continue;
+        out.Add([&](Entry& entry) {
+          entry.key = slot_score_[i].key;
+          entry.distance = slot_score_[i].distance;
+          entry.item1 = get_a(i);
+          entry.item2 = get_b(i);
+          entry.seq = seq++;
+          FinalizePairMetadata(&entry);
+        });
       }
     };
-    if (workers_.num_threads() > 1 && n >= kParallelGrain) {
-      workers_.ParallelFor(n, classify);
+    queue_->BeginBulk(shards, n);
+    if (parallel) {
+      workers_.ParallelFor(n, run_shard);
       ++stats_.parallel_expansions;
-    } else if (n > 0) {
-      classify(0, n);
+    } else {
+      run_shard(0, 0, n);
     }
-    accepted_.clear();
-    const uint64_t calcs_per_accept = spec.need_join_dmax ? 2 : 1;
-    for (size_t i = 0; i < n; ++i) {
-      switch (slot_state_[i]) {
-        case kSlotFilter:
-          ++stats_.pruned_by_filter;
-          break;
-        case kSlotRangeMax:
-          ++stats_.total_distance_calcs;
-          if (object_pair) ++stats_.object_distance_calcs;
-          ++stats_.pruned_by_range;
-          break;
-        case kSlotRangeMin:
-          stats_.total_distance_calcs += 2;
-          if (object_pair) ++stats_.object_distance_calcs;
-          ++stats_.pruned_by_range;
-          break;
-        case kSlotAccept: {
-          stats_.total_distance_calcs += calcs_per_accept;
-          if (object_pair) ++stats_.object_distance_calcs;
-          Entry& entry = slot_entries_[i];
-          entry.seq = next_seq_++;
-          accepted_.push_back(entry);
-          break;
-        }
+    uint64_t verdicts[kNumSlotStates] = {};
+    for (size_t s = 0; s < shards; ++s) {
+      for (int v = 0; v < kNumSlotStates; ++v) {
+        verdicts[v] += tallies_[s].verdicts[v];
       }
     }
-    queue_->PushBulk(accepted_.data(), accepted_.size());
-    stats_.queue_pushes += accepted_.size();
+    const uint64_t accepted = verdicts[kSlotAccept];
+    queue_->EndBulk(accepted);
+    next_seq_ += accepted;
+    stats_.queue_pushes += accepted;
+    stats_.pruned_by_filter += verdicts[kSlotFilter];
+    stats_.pruned_by_range += verdicts[kSlotRangeMax] + verdicts[kSlotRangeMin];
+    stats_.total_distance_calcs += verdicts[kSlotRangeMax] +
+                                   2 * verdicts[kSlotRangeMin] +
+                                   (spec.need_join_dmax ? 2 : 1) * accepted;
+    if (object_pair) {
+      stats_.object_distance_calcs +=
+          verdicts[kSlotRangeMax] + verdicts[kSlotRangeMin] + accepted;
+    }
   }
 
   // ---- serialization (DESIGN.md §11) ----
@@ -660,9 +681,9 @@ class BestFirstEngine {
   std::vector<double> mind2_;
   std::vector<Item> left_;
   std::vector<Item> right_;
-  std::vector<Entry> slot_entries_;
-  std::vector<Entry> accepted_;
   std::vector<uint8_t> slot_state_;
+  std::vector<SlotScore> slot_score_;
+  std::vector<ShardTally> tallies_;  // one per classify shard
   code_screen::ScreenScratch<Dim> screen_scratch_;
 
   uint64_t next_seq_ = 0;

@@ -434,7 +434,6 @@ class DistanceJoin
   using Base::kInf;
 
   // Shared core state and helpers (CRTP base members are dependent names).
-  using Base::accepted_;
   using Base::batch1_;
   using Base::batch2_;
   using Base::left_;

@@ -122,6 +122,18 @@ class HybridPairQueue final : public PairQueue<Dim> {
         max_memory_size_, heap_.Size() + list_.size() + overflow_size_);
   }
 
+  // Bulk builds stage entries in batch order and push them one by one, so
+  // tier routing, spill order and fault schedules match serial pushes.
+  void BeginBulk(size_t, size_t max_entries) override {
+    if (staging_.size() < max_entries) staging_.resize(max_entries);
+  }
+  PairQueueWriter<Dim> BulkWriter(size_t, size_t first, size_t) override {
+    return PairQueueWriter<Dim>(staging_.data() + first);
+  }
+  void EndBulk(size_t total) override {
+    for (size_t i = 0; i < total; ++i) Push(staging_[i]);
+  }
+
   bool Empty() override {
     Refill();
     return heap_.Empty();
@@ -488,8 +500,9 @@ class HybridPairQueue final : public PairQueue<Dim> {
   }
 
   HybridQueueOptions options_;
-  PairingHeap<PairEntry<Dim>, PairEntryCompare<Dim>> heap_;
+  PairHeap<Dim> heap_;
   std::vector<PairEntry<Dim>> list_;
+  std::vector<PairEntry<Dim>> staging_;  // bulk-build entries, batch order
   std::map<uint64_t, Bucket> buckets_;
   // In-memory mirror of disk buckets for entries the disk tier rejected
   // (same bucket indexing, so distance ordering is preserved exactly).

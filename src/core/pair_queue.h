@@ -7,11 +7,41 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 
 #include "core/pair_entry.h"
 #include "util/pairing_heap.h"
 
 namespace sdj {
+
+template <int Dim>
+using PairHeap = PairingHeap<PairEntry<Dim>, PairEntryCompare<Dim>>;
+
+// One shard's writer in a PairQueue bulk build (see PairQueue::BeginBulk):
+// either shard-local pairing-heap nodes (the memory queue) or a slice of a
+// staging array the queue pushes from afterwards (the hybrid queue).
+template <int Dim>
+class PairQueueWriter {
+ public:
+  explicit PairQueueWriter(typename PairHeap<Dim>::ShardBuilder heap)
+      : heap_(heap) {}
+  explicit PairQueueWriter(PairEntry<Dim>* staging) : staging_(staging) {}
+
+  // Builds the writer's next entry in place: fill(PairEntry<Dim>&) writes
+  // every field.
+  template <typename Fill>
+  void Add(const Fill& fill) {
+    if (staging_ != nullptr) {
+      fill(*staging_++);
+    } else {
+      heap_.Add(fill);
+    }
+  }
+
+ private:
+  typename PairHeap<Dim>::ShardBuilder heap_;
+  PairEntry<Dim>* staging_ = nullptr;
+};
 
 // Interface over the join's pair priority queue. `Empty`/`Top`/`Pop` are
 // non-const because the hybrid implementation migrates pairs between tiers
@@ -22,12 +52,22 @@ class PairQueue {
   virtual ~PairQueue() = default;
 
   virtual void Push(const PairEntry<Dim>& entry) = 0;
-  // Pushes `n` entries in order. Equivalent to n Push calls (the comparator
-  // is a total order, so the pop stream is insertion-order independent up to
-  // that order anyway); implementations may amortize bookkeeping.
-  virtual void PushBulk(const PairEntry<Dim>* entries, size_t n) {
-    for (size_t i = 0; i < n; ++i) Push(entries[i]);
-  }
+
+  // Bulk insertion built in place by concurrent shards (DESIGN.md §10). A
+  // batch of `total` <= max_entries entries is cut into consecutive runs;
+  // shard s builds batch entries [first_s, first_s + count_s):
+  //
+  //   caller:  BeginBulk(shards, max_entries)
+  //   shard s: BulkWriter(s, first_s, count_s).Add(fill), count_s times,
+  //            concurrently with the other shards
+  //   caller:  EndBulk(total)
+  //
+  // This leaves the queue holding what `total` Push calls in batch order
+  // would. Nothing else may touch the queue between BeginBulk and EndBulk.
+  virtual void BeginBulk(size_t shards, size_t max_entries) = 0;
+  virtual PairQueueWriter<Dim> BulkWriter(size_t shard, size_t first,
+                                          size_t count) = 0;
+  virtual void EndBulk(size_t total) = 0;
   virtual bool Empty() = 0;
   // Highest-priority entry; queue must be non-empty.
   virtual const PairEntry<Dim>& Top() = 0;
@@ -63,9 +103,14 @@ class PairQueue {
   virtual void RestoreTierFrontier(uint64_t frontier) { (void)frontier; }
 };
 
-// Fully in-memory pair queue backed by a pairing heap.
+// Fully in-memory pair queue backed by a pairing heap. Bulk builds go
+// straight into heap nodes: each shard links its entries into its own
+// subheap, and EndBulk melds one root per shard.
 template <int Dim>
 class MemoryPairQueue final : public PairQueue<Dim> {
+  // Clear and destruction free node blocks without visiting nodes.
+  static_assert(std::is_trivially_destructible_v<PairEntry<Dim>>);
+
  public:
   explicit MemoryPairQueue(PairEntryCompare<Dim> cmp) : heap_(cmp) {}
 
@@ -73,9 +118,14 @@ class MemoryPairQueue final : public PairQueue<Dim> {
     heap_.Push(entry);
     max_size_ = std::max(max_size_, heap_.Size());
   }
-  void PushBulk(const PairEntry<Dim>* entries, size_t n) override {
-    for (size_t i = 0; i < n; ++i) heap_.Push(entries[i]);
-    // Size grows monotonically across the pushes, so one update suffices.
+  void BeginBulk(size_t shards, size_t) override { heap_.BeginShards(shards); }
+  PairQueueWriter<Dim> BulkWriter(size_t shard, size_t first,
+                                  size_t count) override {
+    return PairQueueWriter<Dim>(heap_.Shard(shard, first, count));
+  }
+  void EndBulk(size_t) override {
+    heap_.AdoptShards();
+    // Size only grows within a batch, so one update suffices.
     max_size_ = std::max(max_size_, heap_.Size());
   }
   bool Empty() override { return heap_.Empty(); }
@@ -92,7 +142,7 @@ class MemoryPairQueue final : public PairQueue<Dim> {
   }
 
  private:
-  PairingHeap<PairEntry<Dim>, PairEntryCompare<Dim>> heap_;
+  PairHeap<Dim> heap_;
   size_t max_size_ = 0;
 };
 

@@ -10,8 +10,8 @@
 // therefore vary run to run, but event *counts* are part of the
 // deterministic output — a parallel (num_threads > 1) run must record
 // exactly the serial run's counts. Workers never hold timers; every
-// instrumented phase runs on the serial merge path or inside the (serially
-// driven) storage layer. Histogram merging is bucket-wise addition, so
+// instrumented phase runs on the caller's serial path or inside the
+// (serially driven) storage layer. Histogram merging is bucket-wise addition, so
 // summaries are independent of merge order.
 #ifndef SDJOIN_OBS_METRICS_H_
 #define SDJOIN_OBS_METRICS_H_

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -15,6 +16,19 @@ namespace {
 
 inline void Bump(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Frame::page_id is read under lru_mu_ right after an LRU pop, and that pop
+// can be stale: an Unpin may re-queue a frame that an evictor has already
+// popped and is about to evict and reuse, so the reader can run while the
+// evictor or the frame's next loader writes the field. Every access that can
+// meet such a reader is therefore atomic. Relaxed order suffices: the value
+// read is only a guess that EvictVictim re-verifies under the shard lock.
+PageId LoadPageId(PageId& page_id) {
+  return std::atomic_ref<PageId>(page_id).load(std::memory_order_relaxed);
+}
+void StorePageId(PageId& page_id, PageId value) {
+  std::atomic_ref<PageId>(page_id).store(value, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -107,7 +121,7 @@ char* BufferPool::TryNewPage(PageId* id, IoStatus* status) {
   const uint32_t frame_index = GrabFrame(status);
   if (frame_index == kNoFrame) return nullptr;
   Frame& frame = frames_[frame_index];
-  frame.page_id = *id;
+  StorePageId(frame.page_id, *id);
   frame.pin_count = 1;
   frame.dirty = true;  // fresh pages must reach the file eventually
   frame.busy = false;
@@ -178,7 +192,7 @@ char* BufferPool::TryPin(PageId id, IoStatus* status) {
     shard.cv.notify_all();
     return nullptr;
   }
-  frame.page_id = id;
+  StorePageId(frame.page_id, id);
   frame.pin_count = 1;
   frame.dirty = false;
   frame.busy = false;
@@ -258,9 +272,7 @@ void BufferPool::Invalidate() {
       victim = lru_.front();
       lru_.pop_front();
       frames_[victim].in_lru = false;
-      // Synchronized: page_id is never written while the frame sits in the
-      // LRU list, and the Unpin that queued it published it via lru_mu_.
-      victim_page = frames_[victim].page_id;
+      victim_page = LoadPageId(frames_[victim].page_id);
     }
     EvictVictim(victim, victim_page, /*to_free_list=*/true);
   }
@@ -315,7 +327,7 @@ uint32_t BufferPool::GrabFrame(IoStatus* status) {
         victim = lru_.front();
         lru_.pop_front();
         frames_[victim].in_lru = false;
-        victim_page = frames_[victim].page_id;  // see Invalidate
+        victim_page = LoadPageId(frames_[victim].page_id);
       }
       ++attempts;
       switch (EvictVictim(victim, victim_page, /*to_free_list=*/false)) {
@@ -375,7 +387,7 @@ BufferPool::EvictResult BufferPool::EvictVictim(uint32_t victim,
     frame.dirty = false;
   }
   shard.table.erase(page_id);
-  frame.page_id = kInvalidPageId;
+  StorePageId(frame.page_id, kInvalidPageId);
   shard.cv.notify_all();  // waiters re-find and take the miss path
   lock.unlock();
   if (to_free_list) {

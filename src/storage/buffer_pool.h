@@ -134,7 +134,8 @@ class BufferPool {
   struct Frame {
     std::unique_ptr<char[]> data;
     // Stable while the frame is published in a shard table; changed only by
-    // the exclusive owner of an unpublished frame.
+    // the exclusive owner of a frame, through StorePageId (a stale LRU pop
+    // may read it concurrently, see LoadPageId).
     PageId page_id = kInvalidPageId;
     // Guarded by the owning shard's mutex.
     uint32_t pin_count = 0;

@@ -5,7 +5,7 @@
 // handed to the iterators, which poll stop_requested() once per main-loop
 // iteration (an "expansion boundary"). Polling at that granularity keeps the
 // parallel engine output-identical to the serial one: workers never observe
-// the token, only the serial merge loop does.
+// the token, only the serial pop loop does.
 //
 // A default-constructed StopToken has no state and never requests a stop, so
 // queries that do not opt into suspension pay one null check per iteration.

@@ -1,14 +1,18 @@
 // Persistent worker pool for the join engine's parallel expansion mode.
 //
-// The only primitive is ParallelFor, which splits an index range into one
-// statically computed shard per thread: thread t of T owns exactly
-// [t*n/T, (t+1)*n/T). The split depends only on (n, T), never on timing, so
-// a caller that writes results into slot-indexed output arrays gets the
-// same arrays for any interleaving — the foundation of the engine's
-// determinism guarantee (DESIGN.md §10). The calling thread executes shard
-// 0 itself; the pool's threads take the rest and the call returns only when
-// every shard has finished (the completion handshake gives the caller a
-// happens-before edge over all shard writes).
+// The primitive is ParallelFor, which splits an index range into one
+// statically computed shard per thread: shard t of T owns exactly
+// [t*n/T, (t+1)*n/T) and runs on thread t. The split depends only on
+// (n, T), never on timing, so a caller that writes results into
+// slot-indexed output arrays gets the same arrays for any interleaving —
+// the foundation of the engine's determinism guarantee (DESIGN.md §10). The
+// calling thread executes shard 0 itself; the pool's threads take the rest
+// and the call returns only when every shard has finished (the completion
+// handshake gives the caller a happens-before edge over all shard writes).
+//
+// Every shard is invoked, empty ranges included, so the shards can meet at
+// Rendezvous() halfway through — the engine counts each
+// shard's survivors, rendezvouses, and then builds with the prefix counts.
 #ifndef SDJOIN_UTIL_THREAD_POOL_H_
 #define SDJOIN_UTIL_THREAD_POOL_H_
 
@@ -26,6 +30,9 @@ namespace sdj::util {
 
 class ThreadPool {
  public:
+  // fn(shard, begin, end) of ParallelFor.
+  using ShardFn = std::function<void(size_t, size_t, size_t)>;
+
   // Spawns num_threads - 1 worker threads (the caller is the extra one).
   // num_threads >= 1; a pool of 1 runs everything inline.
   explicit ThreadPool(int num_threads) : num_threads_(num_threads) {
@@ -50,14 +57,13 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Runs fn(begin, end) over disjoint shards covering [0, n), one shard per
-  // thread, and blocks until all of them are done. fn must be safe to call
-  // concurrently on disjoint ranges. Not reentrant: fn must not call
-  // ParallelFor on the same pool.
-  void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn) {
-    if (n == 0) return;
-    if (workers_.empty() || n < 2) {
-      fn(0, n);
+  // Runs fn(shard, begin, end) once for every shard in [0, num_threads())
+  // — including shards whose range is empty — and blocks until all of them
+  // are done. fn must be safe to call concurrently on disjoint ranges. Not
+  // reentrant: fn must not call ParallelFor on the same pool.
+  void ParallelFor(size_t n, const ShardFn& fn) {
+    if (workers_.empty()) {
+      fn(0, 0, n);
       return;
     }
     {
@@ -75,19 +81,37 @@ class ThreadPool {
     work_fn_ = nullptr;
   }
 
+  // Blocks the calling shard until every shard of the running ParallelFor
+  // has called Rendezvous, and orders every shard's writes
+  // before the call before every shard's reads after it. Each shard must
+  // call it the same number of times. Threads beyond the core count only
+  // make the wait longer: every shard has its own thread, so the last one
+  // always arrives.
+  void Rendezvous() {
+    if (workers_.empty()) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    const uint64_t round = rendezvous_round_;
+    if (++rendezvous_arrived_ == num_threads_) {
+      rendezvous_arrived_ = 0;
+      ++rendezvous_round_;
+      lock.unlock();
+      rendezvous_cv_.notify_all();
+      return;
+    }
+    rendezvous_cv_.wait(lock, [&] { return rendezvous_round_ != round; });
+  }
+
  private:
-  void RunShard(const std::function<void(size_t, size_t)>& fn, size_t n,
-                int t) const {
+  void RunShard(const ShardFn& fn, size_t n, int t) const {
     const size_t threads = workers_.size() + 1;
-    const size_t begin = n * static_cast<size_t>(t) / threads;
-    const size_t end = n * (static_cast<size_t>(t) + 1) / threads;
-    if (begin < end) fn(begin, end);
+    const size_t shard = static_cast<size_t>(t);
+    fn(shard, n * shard / threads, n * (shard + 1) / threads);
   }
 
   void WorkerLoop(int t) {
     uint64_t seen = 0;
     for (;;) {
-      const std::function<void(size_t, size_t)>* fn = nullptr;
+      const ShardFn* fn = nullptr;
       size_t n = 0;
       {
         std::unique_lock<std::mutex> lock(mu_);
@@ -114,8 +138,11 @@ class ThreadPool {
   std::condition_variable done_cv_;
   uint64_t generation_ = 0;
   size_t work_n_ = 0;
-  const std::function<void(size_t, size_t)>* work_fn_ = nullptr;
+  const ShardFn* work_fn_ = nullptr;
   int pending_ = 0;
+  std::condition_variable rendezvous_cv_;
+  int rendezvous_arrived_ = 0;
+  uint64_t rendezvous_round_ = 0;
   bool shutdown_ = false;
 };
 

@@ -356,8 +356,13 @@ void ExpectSameResults(const std::vector<JoinResult<2>>& a,
 class FaultyJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_a_ = TempPath("faulty_join_a.pages");
-    path_b_ = TempPath("faulty_join_b.pages");
+    // Per-test file names: ctest runs each test in its own process, in
+    // parallel, and a shared path would let one test's SetUp rewrite the
+    // file another is reading.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_a_ = TempPath("faulty_join_" + name + "_a.pages");
+    path_b_ = TempPath("faulty_join_" + name + "_b.pages");
     points_a_ = data::GenerateUniform(600, Rect<2>({0, 0}, {1000, 1000}), 11);
     points_b_ = data::GenerateUniform(600, Rect<2>({0, 0}, {1000, 1000}), 12);
     BuildTreeFile(path_a_, points_a_);

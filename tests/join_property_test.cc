@@ -3,6 +3,8 @@
 // each validated pair-for-pair against brute force; plus structural edge
 // cases (wildly uneven tree sizes, single objects, non-dense ids, 3-D).
 #include <algorithm>
+#include <cmath>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/distance_join.h"
+#include "core/snapshot.h"
 #include "data/generators.h"
 #include "join_test_util.h"
 #include "rtree/rtree.h"
@@ -264,7 +267,10 @@ void ExpectTracesIdentical(const JoinTrace& serial, const JoinTrace& other,
   EXPECT_EQ(s.restarts, o.restarts);
   EXPECT_EQ(s.io_retries, o.io_retries);
   EXPECT_EQ(s.checksum_failures, o.checksum_failures);
+  EXPECT_EQ(s.spill_fallbacks, o.spill_fallbacks);
   EXPECT_EQ(s.batch_kernel_invocations, o.batch_kernel_invocations);
+  EXPECT_EQ(s.screened_candidates, o.screened_candidates);
+  EXPECT_EQ(s.screen_survivors, o.screen_survivors);
 }
 
 class ParallelJoinFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -404,6 +410,177 @@ TEST(ParallelJoin, IoErrorPrefixesMatchAcrossThreadCounts) {
     }
     ExpectTracesIdentical(*serial, trace, threads);
   }
+}
+
+// ---- the sharded build must actually run ----
+//
+// With 512-byte pages no expansion reaches kParallelGrain candidates, so
+// the tests above (and every golden *_t4 fixture) only prove that the
+// one-shard inline path ignores num_threads. With 2 KB pages a Simultaneous
+// node/node expansion offers thousands of candidates: these configs assert
+// that the sharded classify and per-shard in-place build engaged
+// (parallel_expansions > 0) and still reproduce the serial trace. The
+// relation sizes are odd, so candidate counts rarely divide by the thread
+// count.
+
+constexpr uint32_t kWidePage = 2048;
+
+std::vector<Point<2>> WideSetA() {
+  return data::GenerateUniform(1501, Rect<2>({0, 0}, {1000, 1000}), 71);
+}
+std::vector<Point<2>> WideSetB() {
+  return data::GenerateUniform(1703, Rect<2>({0, 0}, {1000, 1000}), 72);
+}
+
+// Points snapped to a coarse integer lattice: many pairs tie exactly on
+// distance, so the pop order — and with it the stream — depends on every
+// entry's seq, not just on its key.
+std::vector<Point<2>> Lattice(std::vector<Point<2>> points) {
+  for (Point<2>& p : points) {
+    p[0] = std::floor(p[0] / 25.0);
+    p[1] = std::floor(p[1] / 25.0);
+  }
+  return points;
+}
+
+JoinTrace RunWideSimultaneous(DistanceJoinOptions options,
+                              const JoinFilters<2>& filters, int threads,
+                              bool lattice = false) {
+  // Fresh trees per run so buffer-pool state (node_io) starts cold.
+  RTree<2> ta = BuildPointTree(lattice ? Lattice(WideSetA()) : WideSetA(),
+                               kWidePage);
+  RTree<2> tb = BuildPointTree(lattice ? Lattice(WideSetB()) : WideSetB(),
+                               kWidePage);
+  options.node_policy = NodeProcessingPolicy::kSimultaneous;
+  options.num_threads = threads;
+  DistanceJoin<2> join(ta, tb, options, filters);
+  return DrainJoin(join);
+}
+
+void ExpectShardedBuildMatchesSerial(const DistanceJoinOptions& options,
+                                     const JoinFilters<2>& filters,
+                                     std::initializer_list<int> threads) {
+  const JoinTrace serial = RunWideSimultaneous(options, filters, 1);
+  ASSERT_GT(serial.pairs.size(), 0u);
+  EXPECT_EQ(serial.stats.parallel_expansions, 0u);
+  for (const int t : threads) {
+    const JoinTrace trace = RunWideSimultaneous(options, filters, t);
+    EXPECT_GT(trace.stats.parallel_expansions, 0u) << t << " threads";
+    ExpectTracesIdentical(serial, trace, t);
+  }
+}
+
+TEST(ParallelJoin, ShardedBuildEngagesAndMatchesSerial) {
+  DistanceJoinOptions options;
+  options.max_pairs = 3000;
+  ExpectShardedBuildMatchesSerial(options, {}, {2, 3, 4, 7});
+}
+
+TEST(ParallelJoin, ShardedBuildKeepsSerialOrderAmongExactTies) {
+  DistanceJoinOptions options;
+  options.max_pairs = 20000;
+  const JoinTrace serial = RunWideSimultaneous(options, {}, 1, true);
+  for (const int t : {2, 3, 4, 7}) {
+    const JoinTrace trace = RunWideSimultaneous(options, {}, t, true);
+    EXPECT_GT(trace.stats.parallel_expansions, 0u) << t << " threads";
+    ExpectTracesIdentical(serial, trace, t);
+  }
+}
+
+TEST(ParallelJoin, ShardedBuildMinDistanceRung) {
+  // min_distance > 0 makes every candidate compute its join d_max, and
+  // pairs wholly closer than Dmin fall off the kSlotRangeMin rung.
+  DistanceJoinOptions options;
+  options.min_distance = 15.0;
+  options.max_distance = 120.0;
+  options.max_pairs = 3000;
+  ExpectShardedBuildMatchesSerial(options, {}, {2, 3, 4, 7});
+}
+
+TEST(ParallelJoin, ShardedBuildReverseOrder) {
+  // Farthest-first: keys are negated join d_max values.
+  DistanceJoinOptions options;
+  options.reverse_order = true;
+  options.max_pairs = 2000;
+  ExpectShardedBuildMatchesSerial(options, {}, {2, 3, 4, 7});
+}
+
+TEST(ParallelJoin, ShardedBuildWindows) {
+  DistanceJoinOptions options;
+  options.max_pairs = 3000;
+  JoinFilters<2> filters;
+  filters.window1 = Rect<2>({0, 0}, {700, 1000});
+  filters.window2 = Rect<2>({150, 100}, {1000, 900});
+  ExpectShardedBuildMatchesSerial(options, filters, {2, 3, 4, 7});
+}
+
+TEST(ParallelJoin, ShardedBuildHybridQueue) {
+  // The hybrid queue stages each batch and pushes it in seq order, so its
+  // tier routing and spill traffic match the serial engine's.
+  DistanceJoinOptions options;
+  options.max_pairs = 1000;
+  options.use_hybrid_queue = true;
+  options.hybrid.tier_width = 25.0;
+  ExpectShardedBuildMatchesSerial(options, {}, {4});
+}
+
+TEST(ParallelJoin, SuspendAndResumeAcrossThreadCounts) {
+  // Save after a prefix at one thread count, restore into a fresh engine at
+  // another: the combined stream must be the uninterrupted serial stream,
+  // and the whole trace must equal the same split run serially.
+  DistanceJoinOptions options;
+  options.node_policy = NodeProcessingPolicy::kSimultaneous;
+  options.max_pairs = 4000;
+  constexpr size_t kPrefix = 1500;
+  const JoinTrace uninterrupted = RunWideSimultaneous(options, {}, 1);
+  ASSERT_EQ(uninterrupted.pairs.size(), options.max_pairs);
+
+  const auto split_run = [&](int save_threads, int restore_threads) {
+    RTree<2> ta = BuildPointTree(WideSetA(), kWidePage);
+    RTree<2> tb = BuildPointTree(WideSetB(), kWidePage);
+    JoinTrace trace;
+    snapshot::Blob blob;
+    uint64_t parallel_before_save = 0;
+    {
+      DistanceJoinOptions first = options;
+      first.num_threads = save_threads;
+      DistanceJoin<2> join(ta, tb, first);
+      JoinResult<2> pair;
+      while (trace.pairs.size() < kPrefix && join.Next(&pair)) {
+        trace.pairs.push_back(pair);
+      }
+      EXPECT_TRUE(join.SaveState(&blob));
+      parallel_before_save = join.stats().parallel_expansions;
+    }
+    DistanceJoinOptions second = options;
+    second.num_threads = restore_threads;
+    DistanceJoin<2> resumed(ta, tb, second);
+    snapshot::BlobReader reader(blob.data(), blob.size());
+    EXPECT_TRUE(resumed.RestoreState(&reader));
+    JoinTrace rest = DrainJoin(resumed);
+    trace.pairs.insert(trace.pairs.end(), rest.pairs.begin(),
+                       rest.pairs.end());
+    trace.status = rest.status;
+    trace.stats = rest.stats;
+    if (save_threads > 1) {
+      EXPECT_GT(parallel_before_save, 0u);
+    }
+    if (restore_threads > 1) {
+      EXPECT_GT(trace.stats.parallel_expansions, parallel_before_save);
+    }
+    return trace;
+  };
+
+  const JoinTrace serial_split = split_run(1, 1);
+  ASSERT_EQ(serial_split.pairs.size(), uninterrupted.pairs.size());
+  for (size_t i = 0; i < serial_split.pairs.size(); ++i) {
+    ASSERT_EQ(serial_split.pairs[i].id1, uninterrupted.pairs[i].id1) << i;
+    ASSERT_EQ(serial_split.pairs[i].id2, uninterrupted.pairs[i].id2) << i;
+    ASSERT_EQ(serial_split.pairs[i].distance,
+              uninterrupted.pairs[i].distance) << i;
+  }
+  ExpectTracesIdentical(serial_split, split_run(4, 1), 4);
+  ExpectTracesIdentical(serial_split, split_run(1, 4), 4);
 }
 
 TEST(JoinEdgeCases, BoxObjectsWithOverlap) {

@@ -255,8 +255,8 @@ TEST(ObsEngine, MetricsDoNotChangeThePairStreamOrStats) {
 TEST(ObsEngine, ParallelRunRecordsSerialEventCounts) {
   // The determinism contract: a parallel run's pair stream, stats, and
   // *recorded event counts* are identical to the serial run's (durations of
-  // course differ). Workers never hold timers — only the serial merge path
-  // records — so the histogram counts must match exactly.
+  // course differ). Workers never hold timers — only the caller's serial
+  // path records — so the histogram counts must match exactly.
   const RTree<2> ta = test::BuildPointTree(RandomPoints(600, 3));
   const RTree<2> tb = test::BuildPointTree(RandomPoints(600, 4));
   const JoinRun serial = RunJoin(ta, tb, 1, /*with_metrics=*/true);
