@@ -6,12 +6,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/distance_join.h"
+#include "core/join_stats.h"
 #include "core/semi_join.h"
 #include "data/datasets.h"
 #include "geometry/simd.h"
@@ -277,29 +279,11 @@ void WriteJson(const std::string& title) {
     }
     std::fprintf(f, "],\n");
     std::fprintf(f, "      \"stats\": {\n");
-    JsonStat(f, "pairs_reported", s.pairs_reported, false);
-    JsonStat(f, "object_distance_calcs", s.object_distance_calcs, false);
-    JsonStat(f, "total_distance_calcs", s.total_distance_calcs, false);
-    JsonStat(f, "queue_pushes", s.queue_pushes, false);
-    JsonStat(f, "queue_pops", s.queue_pops, false);
-    JsonStat(f, "max_queue_size", s.max_queue_size, false);
-    JsonStat(f, "node_io", s.node_io, false);
-    JsonStat(f, "node_accesses", s.node_accesses, false);
-    JsonStat(f, "nodes_expanded", s.nodes_expanded, false);
-    JsonStat(f, "pruned_by_range", s.pruned_by_range, false);
-    JsonStat(f, "pruned_by_estimate", s.pruned_by_estimate, false);
-    JsonStat(f, "pruned_by_bound", s.pruned_by_bound, false);
-    JsonStat(f, "pruned_by_filter", s.pruned_by_filter, false);
-    JsonStat(f, "filtered_reported", s.filtered_reported, false);
-    JsonStat(f, "restarts", s.restarts, false);
-    JsonStat(f, "io_retries", s.io_retries, false);
-    JsonStat(f, "checksum_failures", s.checksum_failures, false);
-    JsonStat(f, "spill_fallbacks", s.spill_fallbacks, false);
-    JsonStat(f, "batch_kernel_invocations", s.batch_kernel_invocations,
-             false);
-    JsonStat(f, "parallel_expansions", s.parallel_expansions, false);
-    JsonStat(f, "screened_candidates", s.screened_candidates, false);
-    JsonStat(f, "screen_survivors", s.screen_survivors, true);
+    const size_t num_stats = std::size(kJoinStatFields);
+    for (size_t k = 0; k < num_stats; ++k) {
+      const JoinStatField& field = kJoinStatFields[k];
+      JsonStat(f, field.name, s.*field.member, k + 1 == num_stats);
+    }
     std::fprintf(f, "      },\n");
     JsonMetrics(f, row.metrics);
     std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");

@@ -78,6 +78,47 @@ struct BestFirstConfig {
   obs::Metrics* metrics = nullptr;
 };
 
+// The four pool-derived JoinStats counters (node_io, node_accesses,
+// io_retries, checksum_failures): the growth of the summed storage::IoStats
+// of a fixed set of buffer pools since a baseline. BestFirstEngine and the
+// sharded wrapper (core/shard_merge.h) both count this way — a wrapper must
+// never sum per-shard deltas over shared pools.
+class PoolBaseline {
+ public:
+  explicit PoolBaseline(std::vector<const storage::BufferPool*> pools)
+      : pools_(std::move(pools)), base_(Now()) {}
+
+  // Writes the counters accrued since the baseline into *s.
+  void Fill(JoinStats* s) const {
+    const storage::IoStats d = Now() - base_;
+    s->node_io = d.buffer_misses;
+    s->node_accesses = d.logical_reads;
+    s->io_retries = d.read_retries + d.write_retries;
+    s->checksum_failures = d.checksum_failures;
+  }
+
+  // Rebases so Fill continues from `saved`'s counters across a suspend/
+  // resume boundary: base = now - saved. Modular uint64 arithmetic keeps
+  // the deltas exact even when a new process's pools start cold.
+  void Rebase(const JoinStats& saved) {
+    base_ = Now();
+    base_.buffer_misses -= saved.node_io;
+    base_.logical_reads -= saved.node_accesses;
+    base_.read_retries -= saved.io_retries;
+    base_.checksum_failures -= saved.checksum_failures;
+  }
+
+ private:
+  storage::IoStats Now() const {
+    storage::IoStats total;
+    for (const storage::BufferPool* pool : pools_) total += pool->stats();
+    return total;
+  }
+
+  std::vector<const storage::BufferPool*> pools_;
+  storage::IoStats base_;
+};
+
 // Verdict of Derived::OnPopped on one dequeued entry.
 enum class PopAction : uint8_t {
   kReported,  // `out` filled; Next() returns true
@@ -116,7 +157,8 @@ class BestFirstEngine {
           return false;
         }
         if (derived().OnQueueDrained()) continue;
-        status_ = JoinStatus::kExhausted;
+        // A failed drain hook (an unreadable root on restart) set kIoError.
+        if (status_ == JoinStatus::kOk) status_ = JoinStatus::kExhausted;
         return false;
       }
       // The hybrid queue migrates entries between tiers inside Empty/Pop; a
@@ -160,11 +202,7 @@ class BestFirstEngine {
   const JoinStats& stats() const {
     stats_.max_queue_size =
         std::max<uint64_t>(stats_.max_queue_size, queue_->MaxSize());
-    stats_.node_io = PoolMisses() - base_node_misses_;
-    stats_.node_accesses = PoolAccesses() - base_node_accesses_;
-    stats_.io_retries = PoolRetries() - base_io_retries_;
-    stats_.checksum_failures =
-        PoolChecksumFailures() - base_checksum_failures_;
+    pool_baseline_.Fill(&stats_);
     stats_.spill_fallbacks =
         base_spill_fallbacks_ + queue_->spill_fallbacks();
     return stats_;
@@ -238,18 +276,13 @@ class BestFirstEngine {
   static constexpr size_t kParallelGrain = 128;
 
   // `pools` are the buffer pools of every index the engine reads (one per
-  // distinct index), folded into the node_io / node_accesses / io_retries /
-  // checksum_failures statistics.
+  // distinct index), folded into the pool-derived statistics.
   BestFirstEngine(std::vector<const storage::BufferPool*> pools,
                   const BestFirstConfig& config)
       : config_(config),
-        pools_(std::move(pools)),
+        pool_baseline_(std::move(pools)),
         workers_(config.num_threads),
-        tallies_(workers_.num_threads()),
-        base_node_misses_(PoolMisses()),
-        base_node_accesses_(PoolAccesses()),
-        base_io_retries_(PoolRetries()),
-        base_checksum_failures_(PoolChecksumFailures()) {
+        tallies_(workers_.num_threads()) {
     queue_ = MakeQueue();
   }
 
@@ -279,6 +312,17 @@ class BestFirstEngine {
   }
 
   // ---- node reads (DESIGN.md §9) ----
+
+  // The root item of a non-empty `tree`, read through TryPin like every
+  // other node: false (status_ = kIoError) when the root page is unreadable,
+  // so an engine seeded over a failing store stops instead of aborting.
+  bool RootItem(const Index& tree, Item* out) {
+    Rect<Dim> mbr;
+    if (!tree.TryRootMbr(&mbr)) return MarkIoError();
+    *out = Item{mbr, tree.root(), static_cast<int16_t>(tree.root_level()),
+                JoinItemKind::kNode};
+    return true;
+  }
 
   // Records an unrecoverable node-page I/O failure. Returns false so callers
   // can `return MarkIoError();` straight out of the expansion path.
@@ -521,56 +565,6 @@ class BestFirstEngine {
            status_ != JoinStatus::kInvalidArgument && !queue_->io_error();
   }
 
-  static void WriteStats(snapshot::Blob* out, const JoinStats& s) {
-    out->PutU64(s.pairs_reported);
-    out->PutU64(s.object_distance_calcs);
-    out->PutU64(s.total_distance_calcs);
-    out->PutU64(s.queue_pushes);
-    out->PutU64(s.queue_pops);
-    out->PutU64(s.max_queue_size);
-    out->PutU64(s.node_io);
-    out->PutU64(s.node_accesses);
-    out->PutU64(s.nodes_expanded);
-    out->PutU64(s.pruned_by_range);
-    out->PutU64(s.pruned_by_estimate);
-    out->PutU64(s.pruned_by_bound);
-    out->PutU64(s.pruned_by_filter);
-    out->PutU64(s.filtered_reported);
-    out->PutU64(s.restarts);
-    out->PutU64(s.io_retries);
-    out->PutU64(s.checksum_failures);
-    out->PutU64(s.spill_fallbacks);
-    out->PutU64(s.batch_kernel_invocations);
-    out->PutU64(s.parallel_expansions);
-    out->PutU64(s.screened_candidates);
-    out->PutU64(s.screen_survivors);
-  }
-
-  static void ReadStats(snapshot::BlobReader* in, JoinStats* s) {
-    s->pairs_reported = in->GetU64();
-    s->object_distance_calcs = in->GetU64();
-    s->total_distance_calcs = in->GetU64();
-    s->queue_pushes = in->GetU64();
-    s->queue_pops = in->GetU64();
-    s->max_queue_size = in->GetU64();
-    s->node_io = in->GetU64();
-    s->node_accesses = in->GetU64();
-    s->nodes_expanded = in->GetU64();
-    s->pruned_by_range = in->GetU64();
-    s->pruned_by_estimate = in->GetU64();
-    s->pruned_by_bound = in->GetU64();
-    s->pruned_by_filter = in->GetU64();
-    s->filtered_reported = in->GetU64();
-    s->restarts = in->GetU64();
-    s->io_retries = in->GetU64();
-    s->checksum_failures = in->GetU64();
-    s->spill_fallbacks = in->GetU64();
-    s->batch_kernel_invocations = in->GetU64();
-    s->parallel_expansions = in->GetU64();
-    s->screened_candidates = in->GetU64();
-    s->screen_survivors = in->GetU64();
-  }
-
   // Serializes the core state — sequence counter, status, statistics, queue
   // tier frontier and every live entry. The engine writes its config
   // fingerprint and policy scalars around this. Returns false if the queue
@@ -580,7 +574,10 @@ class BestFirstEngine {
     stats();  // fold pool- and queue-derived counters into stats_
     out->PutU64(next_seq_);
     out->PutU8(static_cast<uint8_t>(status_));
-    WriteStats(out, stats_);
+    // Statistics: every counter, in kJoinStatFields order.
+    for (const JoinStatField& f : kJoinStatFields) {
+      out->PutU64(stats_.*f.member);
+    }
     // Queue: frontier first, so restore classifies pushes into the same
     // tiers, then every live entry (order-free — the comparator is total).
     out->PutU64(queue_->TierFrontier());
@@ -590,7 +587,7 @@ class BestFirstEngine {
   }
 
   // Counterpart of SaveCore; the caller has already verified its
-  // fingerprint. On success the rebuilt queue pops the exact sequence the
+  // fingerprint (snapshot::BlobReader::Expect). On success the rebuilt queue pops the exact sequence the
   // saved one would have (the entry comparator is a total order), and the
   // statistics are rebased against the *current* pool counters so stats()
   // keeps reporting totals across the suspend/resume boundary (modular
@@ -604,7 +601,9 @@ class BestFirstEngine {
       return false;
     }
     JoinStats saved_stats;
-    ReadStats(in, &saved_stats);
+    for (const JoinStatField& f : kJoinStatFields) {
+      saved_stats.*f.member = in->GetU64();
+    }
     const uint64_t frontier = in->GetU64();
     const uint64_t count = in->GetCount(snapshot::EntryWireSize<Dim>());
     if (!in->ok()) return false;
@@ -620,46 +619,10 @@ class BestFirstEngine {
     }
     next_seq_ = next_seq;
     stats_ = saved_stats;
-    base_node_misses_ = PoolMisses() - saved_stats.node_io;
-    base_node_accesses_ = PoolAccesses() - saved_stats.node_accesses;
-    base_io_retries_ = PoolRetries() - saved_stats.io_retries;
-    base_checksum_failures_ =
-        PoolChecksumFailures() - saved_stats.checksum_failures;
+    pool_baseline_.Rebase(saved_stats);
     base_spill_fallbacks_ = saved_stats.spill_fallbacks;
     status_ = static_cast<JoinStatus>(saved_status);
     return true;
-  }
-
-  // ---- pool-derived counters ----
-
-  uint64_t PoolMisses() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().buffer_misses;
-    }
-    return total;
-  }
-  uint64_t PoolAccesses() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().logical_reads;
-    }
-    return total;
-  }
-  uint64_t PoolRetries() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      const storage::IoStats s = pool->stats();
-      total += s.read_retries + s.write_retries;
-    }
-    return total;
-  }
-  uint64_t PoolChecksumFailures() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().checksum_failures;
-    }
-    return total;
   }
 
   // ---- shared state ----
@@ -667,7 +630,7 @@ class BestFirstEngine {
   // Mutable so NN-style engines can re-arm the stop token / metrics sink
   // after construction; the queue itself is built once in the constructor.
   BestFirstConfig config_;
-  std::vector<const storage::BufferPool*> pools_;
+  PoolBaseline pool_baseline_;
   util::ThreadPool workers_;
   std::unique_ptr<PairQueue<Dim>> queue_;
 
@@ -688,10 +651,6 @@ class BestFirstEngine {
 
   uint64_t next_seq_ = 0;
   JoinStatus status_ = JoinStatus::kOk;
-  uint64_t base_node_misses_ = 0;
-  uint64_t base_node_accesses_ = 0;
-  uint64_t base_io_retries_ = 0;
-  uint64_t base_checksum_failures_ = 0;
   // Spill fallbacks accumulated before the last RestoreCore (the restored
   // queue's own counter restarts at zero).
   uint64_t base_spill_fallbacks_ = 0;

@@ -258,30 +258,37 @@ class DistanceJoin
         minimal_regions_(tree1.minimal_bounding_regions() &&
                          tree2.minimal_bounding_regions()),
         isa_(simd::Resolve(options.kernel_isa)) {
-    SDJ_CHECK(options.min_distance >= 0.0);
-    SDJ_CHECK(options.min_distance <= options.max_distance);
-    if (options.estimate_max_distance) SDJ_CHECK(options.max_pairs > 0);
-    if (options.use_hybrid_queue) SDJ_CHECK(!options.reverse_order);
-    // Reverse semi-join estimation would estimate the wrong bound (the
-    // paper's Section 2.3 discussion); plain reverse semi-joins are fine.
-    SDJ_CHECK(!(semi_estimation && options.reverse_order));
-    // Selection filters remove result pairs, so subtree-cardinality-based
-    // estimation would overcount and over-prune.
-    SDJ_CHECK(!options.estimate_max_distance || filters_.Empty());
-    // Filters on the second relation break the SemiPairMaxDist bounds: the
-    // nearest *qualifying* partner can be farther than the geometric bound.
-    SDJ_CHECK(semi_bound == SemiJoinBound::kNone ||
-              (!filters_.window2.has_value() &&
-               filters_.object_filter2 == nullptr));
     const bool inside_semi = semi_filter == SemiJoinFilter::kInside1 ||
                              semi_filter == SemiJoinFilter::kInside2;
-    // Dense-object-id precondition (CLAUDE.md): the semi-join bit string
-    // S_o and the bound tables index by object id, so ids must lie in
-    // [0, size). Query configuration is user input — report it through
-    // status() instead of aborting downstream.
-    if ((inside_semi || semi_bound_ != SemiJoinBound::kNone) &&
-        tree1.size() > 0 && tree1.max_object_id() >= tree1.size()) {
+    // Query configuration is user input: a violated precondition is
+    // reported through status() (kInvalidArgument), never an abort.
+    const bool valid =
+        // A well-formed range (NaN bounds fail the comparisons too).
+        options.min_distance >= 0.0 &&
+        options.min_distance <= options.max_distance &&
+        (!options.estimate_max_distance || options.max_pairs > 0) &&
+        // The tiered queue buckets nondecreasing keys; reverse keys are
+        // negated upper bounds.
+        !(options.use_hybrid_queue && options.reverse_order) &&
+        // Reverse semi-join estimation would estimate the wrong bound (the
+        // paper's Section 2.3 discussion); plain reverse semi-joins are fine.
+        !(semi_estimation && options.reverse_order) &&
+        // Selection filters remove result pairs, so subtree-cardinality-
+        // based estimation would overcount and over-prune.
+        (!options.estimate_max_distance || filters_.Empty()) &&
+        // Filters on the second relation break the SemiPairMaxDist bounds:
+        // the nearest *qualifying* partner can be farther than the bound.
+        (semi_bound == SemiJoinBound::kNone ||
+         (!filters_.window2.has_value() &&
+          filters_.object_filter2 == nullptr)) &&
+        // Dense-object-id precondition (CLAUDE.md): the semi-join bit
+        // string S_o and the bound tables index by object id, so ids must
+        // lie in [0, size).
+        !((inside_semi || semi_bound_ != SemiJoinBound::kNone) &&
+          tree1.size() > 0 && tree1.max_object_id() >= tree1.size());
+    if (!valid) {
       status_ = JoinStatus::kInvalidArgument;
+      return;
     }
     if (inside_semi || semi_bound_ != SemiJoinBound::kNone) {
       reported_.Resize(tree1.size());
@@ -296,7 +303,7 @@ class DistanceJoin
                             std::numeric_limits<double>::infinity());
     }
     ResetEstimator();
-    if (status_ == JoinStatus::kOk && !options.defer_seed) Seed();
+    if (!options.defer_seed) Seed();
   }
 
   // The currently effective maximum distance (query bound or estimate).
@@ -322,31 +329,7 @@ class DistanceJoin
   // failed with kIoError); `out` must then be discarded.
   bool SaveState(snapshot::Blob* out) {
     if (!this->SaveAllowed()) return false;
-    // Fingerprint: the resuming engine must be constructed over the same
-    // trees with the same query configuration.
-    out->PutU32(kStateMagic);
-    out->PutU32(kStateVersion);
-    out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
-    out->PutU8(static_cast<uint8_t>(options_.node_policy));
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
-    out->PutBool(options_.reverse_order);
-    out->PutDouble(options_.min_distance);
-    out->PutDouble(options_.max_distance);
-    out->PutU64(options_.max_pairs);
-    out->PutBool(options_.estimate_max_distance);
-    out->PutBool(options_.aggressive_estimation);
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
-    out->PutU8(static_cast<uint8_t>(semi_filter_));
-    out->PutU8(static_cast<uint8_t>(semi_bound_));
-    out->PutBool(semi_estimation_);
-    out->PutBool(options_.exact_object_distance != nullptr);
-    out->PutBool(filters_.Empty());
-    out->PutBool(minimal_regions_);
-    out->PutBool(options_.screen_codes);
-    out->PutU64(tree1_.size());
-    out->PutU64(tree2_.size());
+    out->Append(Fingerprint());
     // Policy cursor scalars, then the core section (seq counter, status,
     // statistics, queue frontier + entries).
     out->PutU64(reported_count_);
@@ -376,35 +359,7 @@ class DistanceJoin
   // entry comparator is a total order), so the resumed pair stream is
   // bit-identical to an uninterrupted run's remainder.
   bool RestoreState(snapshot::BlobReader* in) {
-    if (in->GetU32() != kStateMagic) return false;
-    if (in->GetU32() != kStateVersion) return false;
-    if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.node_policy)) {
-      return false;
-    }
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
-    if (in->GetBool() != options_.reverse_order) return false;
-    if (in->GetDouble() != options_.min_distance) return false;
-    if (in->GetDouble() != options_.max_distance) return false;
-    if (in->GetU64() != options_.max_pairs) return false;
-    if (in->GetBool() != options_.estimate_max_distance) return false;
-    if (in->GetBool() != options_.aggressive_estimation) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
-    if (in->GetU8() != static_cast<uint8_t>(semi_filter_)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(semi_bound_)) return false;
-    if (in->GetBool() != semi_estimation_) return false;
-    if (in->GetBool() != (options_.exact_object_distance != nullptr)) {
-      return false;
-    }
-    if (in->GetBool() != filters_.Empty()) return false;
-    if (in->GetBool() != minimal_regions_) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
-    if (in->GetU64() != tree1_.size()) return false;
-    if (in->GetU64() != tree2_.size()) return false;
-    if (!in->ok()) return false;
-
+    if (!in->Expect(Fingerprint())) return false;
     reported_count_ = in->GetU64();
     replay_ = in->GetU64();
     estimation_disabled_ = in->GetBool();
@@ -458,6 +413,37 @@ class DistanceJoin
   // shared stats section.
   static constexpr uint32_t kStateVersion = 3;
 
+  // The config fingerprint: the resuming engine must be constructed over
+  // the same trees with the same query configuration. Written once, here,
+  // for both SaveState and RestoreState's byte comparison.
+  snapshot::Blob Fingerprint() const {
+    snapshot::Blob fp;
+    fp.PutU32(kStateMagic);
+    fp.PutU32(kStateVersion);
+    fp.PutU32(static_cast<uint32_t>(Dim));
+    fp.PutU8(static_cast<uint8_t>(options_.metric));
+    fp.PutU8(static_cast<uint8_t>(options_.node_policy));
+    fp.PutU8(static_cast<uint8_t>(options_.tie_break));
+    fp.PutBool(options_.reverse_order);
+    fp.PutDouble(options_.min_distance);
+    fp.PutDouble(options_.max_distance);
+    fp.PutU64(options_.max_pairs);
+    fp.PutBool(options_.estimate_max_distance);
+    fp.PutBool(options_.aggressive_estimation);
+    fp.PutBool(options_.use_hybrid_queue);
+    fp.PutDouble(options_.hybrid.tier_width);
+    fp.PutU8(static_cast<uint8_t>(semi_filter_));
+    fp.PutU8(static_cast<uint8_t>(semi_bound_));
+    fp.PutBool(semi_estimation_);
+    fp.PutBool(options_.exact_object_distance != nullptr);
+    fp.PutBool(filters_.Empty());
+    fp.PutBool(minimal_regions_);
+    fp.PutBool(options_.screen_codes);
+    fp.PutU64(tree1_.size());
+    fp.PutU64(tree2_.size());
+    return fp;
+  }
+
   static BestFirstConfig MakeConfig(const DistanceJoinOptions& options) {
     BestFirstConfig config;
     config.tie_break = options.tie_break;
@@ -479,12 +465,12 @@ class DistanceJoin
     return true;
   }
 
+  // Restart re-seeds through RootItem; an unreadable root ends the join
+  // with kIoError instead of re-entering the loop.
   bool OnQueueDrained() {
-    if (NeedRestart()) {
-      Restart();
-      return true;
-    }
-    return false;
+    if (!NeedRestart()) return false;
+    Restart();
+    return status_ == JoinStatus::kOk;
   }
 
   PopAction OnPopped(const Entry& e, JoinResult<Dim>* out) {
@@ -563,10 +549,11 @@ class DistanceJoin
 
   void Seed() {
     if (tree1_.empty() || tree2_.empty()) return;
-    Item root1{tree1_.RootMbr(), tree1_.root(),
-               static_cast<int16_t>(tree1_.root_level()), JoinItemKind::kNode};
-    Item root2{tree2_.RootMbr(), tree2_.root(),
-               static_cast<int16_t>(tree2_.root_level()), JoinItemKind::kNode};
+    Item root1;
+    Item root2;
+    if (!this->RootItem(tree1_, &root1) || !this->RootItem(tree2_, &root2)) {
+      return;
+    }
     TryEnqueue(root1, root2);
   }
 

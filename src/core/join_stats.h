@@ -5,7 +5,9 @@
 #ifndef SDJOIN_CORE_JOIN_STATS_H_
 #define SDJOIN_CORE_JOIN_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 namespace sdj {
 
@@ -70,33 +72,62 @@ struct JoinStats {
   // fleet-wide peak is the max, not the total. This is the ONE aggregation
   // used everywhere (shard merge, bench reporting) — ad-hoc field sums have
   // already double-counted once and are banned by tests/shard_stream_test.cc.
-  void MergeFrom(const JoinStats& other) {
-    pairs_reported += other.pairs_reported;
-    object_distance_calcs += other.object_distance_calcs;
-    total_distance_calcs += other.total_distance_calcs;
-    queue_pushes += other.queue_pushes;
-    queue_pops += other.queue_pops;
-    if (other.max_queue_size > max_queue_size) {
-      max_queue_size = other.max_queue_size;
-    }
-    node_io += other.node_io;
-    node_accesses += other.node_accesses;
-    nodes_expanded += other.nodes_expanded;
-    pruned_by_range += other.pruned_by_range;
-    pruned_by_estimate += other.pruned_by_estimate;
-    pruned_by_bound += other.pruned_by_bound;
-    pruned_by_filter += other.pruned_by_filter;
-    filtered_reported += other.filtered_reported;
-    restarts += other.restarts;
-    io_retries += other.io_retries;
-    checksum_failures += other.checksum_failures;
-    spill_fallbacks += other.spill_fallbacks;
-    batch_kernel_invocations += other.batch_kernel_invocations;
-    parallel_expansions += other.parallel_expansions;
-    screened_candidates += other.screened_candidates;
-    screen_survivors += other.screen_survivors;
-  }
+  void MergeFrom(const JoinStats& other);
 };
+
+// How MergeFrom folds one counter.
+enum class StatMerge : uint8_t { kSum, kMax };
+
+// One JoinStats counter: its name, its member, and how it merges.
+struct JoinStatField {
+  const char* name;
+  uint64_t JoinStats::*member;
+  StatMerge merge;
+};
+
+// Every JoinStats counter, in struct order. The snapshot stats section
+// (core/best_first.h), BENCH JSON "stats" blocks, MergeFrom and the test
+// comparators all walk this table, so a counter is declared in the struct
+// and listed here — nowhere else. The order is wire format: never reorder.
+inline constexpr JoinStatField kJoinStatFields[] = {
+    {"pairs_reported", &JoinStats::pairs_reported, StatMerge::kSum},
+    {"object_distance_calcs", &JoinStats::object_distance_calcs,
+     StatMerge::kSum},
+    {"total_distance_calcs", &JoinStats::total_distance_calcs,
+     StatMerge::kSum},
+    {"queue_pushes", &JoinStats::queue_pushes, StatMerge::kSum},
+    {"queue_pops", &JoinStats::queue_pops, StatMerge::kSum},
+    {"max_queue_size", &JoinStats::max_queue_size, StatMerge::kMax},
+    {"node_io", &JoinStats::node_io, StatMerge::kSum},
+    {"node_accesses", &JoinStats::node_accesses, StatMerge::kSum},
+    {"nodes_expanded", &JoinStats::nodes_expanded, StatMerge::kSum},
+    {"pruned_by_range", &JoinStats::pruned_by_range, StatMerge::kSum},
+    {"pruned_by_estimate", &JoinStats::pruned_by_estimate, StatMerge::kSum},
+    {"pruned_by_bound", &JoinStats::pruned_by_bound, StatMerge::kSum},
+    {"pruned_by_filter", &JoinStats::pruned_by_filter, StatMerge::kSum},
+    {"filtered_reported", &JoinStats::filtered_reported, StatMerge::kSum},
+    {"restarts", &JoinStats::restarts, StatMerge::kSum},
+    {"io_retries", &JoinStats::io_retries, StatMerge::kSum},
+    {"checksum_failures", &JoinStats::checksum_failures, StatMerge::kSum},
+    {"spill_fallbacks", &JoinStats::spill_fallbacks, StatMerge::kSum},
+    {"batch_kernel_invocations", &JoinStats::batch_kernel_invocations,
+     StatMerge::kSum},
+    {"parallel_expansions", &JoinStats::parallel_expansions, StatMerge::kSum},
+    {"screened_candidates", &JoinStats::screened_candidates, StatMerge::kSum},
+    {"screen_survivors", &JoinStats::screen_survivors, StatMerge::kSum},
+};
+static_assert(sizeof(JoinStats) ==
+                  std::size(kJoinStatFields) * sizeof(uint64_t),
+              "every JoinStats counter must be listed in kJoinStatFields");
+
+inline void JoinStats::MergeFrom(const JoinStats& other) {
+  for (const JoinStatField& f : kJoinStatFields) {
+    uint64_t& mine = this->*f.member;
+    const uint64_t theirs = other.*f.member;
+    mine = f.merge == StatMerge::kMax ? std::max(mine, theirs)
+                                      : mine + theirs;
+  }
+}
 
 }  // namespace sdj
 

@@ -12,7 +12,9 @@
 #ifndef SDJOIN_CORE_SEMI_JOIN_H_
 #define SDJOIN_CORE_SEMI_JOIN_H_
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/distance_join.h"
 #include "core/join_stats.h"
@@ -57,11 +59,16 @@ class DistanceSemiJoin {
                    const SemiJoinOptions& options,
                    JoinFilters<Dim> filters = JoinFilters<Dim>{})
       : options_(Normalize(options)),
-        // Dense-object-id precondition for the wrapper's own S_o (the
-        // engine validates its Inside bit string the same way). User input
-        // must not abort — surface through status() instead.
-        invalid_(options_.filter == SemiJoinFilter::kOutside &&
-                 tree1.size() > 0 && tree1.max_object_id() >= tree1.size()),
+        // User input must not abort — surface through status() instead.
+        // Estimation requires an Inside filter (the engine must see
+        // distinct-first reports). The wrapper's own S_o has the engine's
+        // dense-object-id precondition.
+        invalid_(options_.filter == SemiJoinFilter::kNone ||
+                 (options_.join.estimate_max_distance &&
+                  options_.filter == SemiJoinFilter::kOutside) ||
+                 (options_.filter == SemiJoinFilter::kOutside &&
+                  tree1.size() > 0 &&
+                  tree1.max_object_id() >= tree1.size())),
         outside_(options_.filter == SemiJoinFilter::kOutside ? tree1.size()
                                                              : 0),
         engine_(tree1, tree2, EngineJoinOptions(options_), std::move(filters),
@@ -134,8 +141,7 @@ class DistanceSemiJoin {
   // SaveState.
   bool SaveState(snapshot::Blob* out) {
     if (invalid_) return false;
-    out->PutU8(static_cast<uint8_t>(options_.filter));
-    out->PutU8(static_cast<uint8_t>(options_.bound));
+    out->Append(Fingerprint());
     out->PutU64(reported_);
     out->PutU64(outside_filtered_);
     out->PutU64(outside_.size());
@@ -147,36 +153,38 @@ class DistanceSemiJoin {
   }
 
   // Counterpart of SaveState; the wrapper must have been constructed with
-  // the same options over the same trees (fingerprint-checked).
+  // the same options over the same trees (fingerprint-checked). The
+  // wrapper's own state is applied only once the engine accepted its
+  // section, so an engine fingerprint mismatch leaves both untouched.
   bool RestoreState(snapshot::BlobReader* in) {
-    if (invalid_) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.filter)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.bound)) return false;
+    if (invalid_ || !in->Expect(Fingerprint())) return false;
     const uint64_t reported = in->GetU64();
     const uint64_t outside_filtered = in->GetU64();
     if (in->GetU64() != outside_.size()) return false;
     if (in->GetCount(8) != outside_.WordCount()) return false;
-    for (size_t i = 0; i < outside_.WordCount(); ++i) {
-      outside_.SetWord(i, in->GetU64());
-    }
+    std::vector<uint64_t> words(outside_.WordCount());
+    for (uint64_t& w : words) w = in->GetU64();
     if (!in->ok() || !engine_.RestoreState(in)) return false;
+    for (size_t i = 0; i < words.size(); ++i) outside_.SetWord(i, words[i]);
     reported_ = reported;
     outside_filtered_ = outside_filtered;
     return true;
   }
 
  private:
-  // Applies the paper's coupling rules: bounds imply Inside2; estimation
-  // requires an Inside filter (the engine must see distinct-first reports).
+  // The wrapper's fingerprint; the engine section carries its own.
+  snapshot::Blob Fingerprint() const {
+    snapshot::Blob fp;
+    fp.PutU8(static_cast<uint8_t>(options_.filter));
+    fp.PutU8(static_cast<uint8_t>(options_.bound));
+    return fp;
+  }
+
+  // Applies the paper's coupling rule: bounds imply Inside2.
   static SemiJoinOptions Normalize(SemiJoinOptions options) {
     if (options.bound != SemiJoinBound::kNone) {
       options.filter = SemiJoinFilter::kInside2;
     }
-    if (options.join.estimate_max_distance) {
-      SDJ_CHECK(options.filter == SemiJoinFilter::kInside1 ||
-                options.filter == SemiJoinFilter::kInside2);
-    }
-    SDJ_CHECK(options.filter != SemiJoinFilter::kNone);
     return options;
   }
 

@@ -33,7 +33,7 @@
 //     that have left their engines but not yet the merge).
 //   * Statistics: merged totals are the plan's seed stats plus each shard's
 //     counters via JoinStats::MergeFrom; the four pool-derived counters are
-//     re-derived from wrapper-owned pool baselines (per-shard deltas on a
+//     re-derived from a wrapper-owned PoolBaseline (per-shard deltas on a
 //     shared pool would multi-count). At exhaustion every counter equals the
 //     serial engine's except max_queue_size (disjoint per-shard peaks; the
 //     merge reports their max) and parallel_expansions — the same two
@@ -65,40 +65,6 @@
 #include "util/stop_token.h"
 
 namespace sdj::shard {
-
-// ---- pool-derived counters (wrapper-owned baselines) ----
-
-inline uint64_t PoolMisses(const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().buffer_misses;
-  }
-  return total;
-}
-inline uint64_t PoolAccesses(
-    const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().logical_reads;
-  }
-  return total;
-}
-inline uint64_t PoolRetries(const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    const storage::IoStats s = pool->stats();
-    total += s.read_retries + s.write_retries;
-  }
-  return total;
-}
-inline uint64_t PoolChecksumFailures(
-    const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().checksum_failures;
-  }
-  return total;
-}
 
 // ---- result wire format (buffered-result serialization) ----
 
@@ -354,12 +320,12 @@ class FrontierMerge {
 
 // ---- the shared sharded-engine wrapper ----
 
-// Common machinery of every Sharded* policy wrapper: passthrough mode (the
-// plan failed or K < 2 — one ordinary engine, zero threads), the merge-level
-// Next loop with its StopToken safe point and result cap, merged statistics
-// with wrapper-owned pool baselines, and SaveState/RestoreState framing.
-// A Derived constructor runs the shard plan and calls AdoptPassthrough or
-// AdoptShards; everything else is inherited.
+// Common machinery of every Sharded* policy wrapper: the one shard builder
+// (BuildShards), passthrough mode (the plan failed or K < 2 — one ordinary
+// engine, zero threads), the merge-level Next loop with its StopToken safe
+// point and result cap, merged statistics with a wrapper-owned pool
+// baseline, and SaveState/RestoreState framing. A Derived constructor only
+// states its eligibility rules and how to construct one engine.
 template <int Dim, typename EngineT, typename ResultT>
 class ShardedEngine {
  public:
@@ -413,7 +379,7 @@ class ShardedEngine {
   // counters can run ahead by the bounded lookahead mid-stream; at
   // exhaustion the totals match the serial engine — see file comment for
   // the two excluded counters), and the pool-derived counters re-derived
-  // from wrapper-owned baselines.
+  // from the wrapper-owned pool baseline.
   const JoinStats& stats() const {
     if (passthrough_ != nullptr) return EngineStats(*passthrough_);
     merge_.Quiesce();
@@ -422,15 +388,7 @@ class ShardedEngine {
       merged_.MergeFrom(EngineStats(*slot.engine));
     }
     merged_.pairs_reported = emitted_;
-    merged_.node_io =
-        node_io_offset_ + (PoolMisses(pools_) - base_node_misses_);
-    merged_.node_accesses =
-        node_accesses_offset_ + (PoolAccesses(pools_) - base_node_accesses_);
-    merged_.io_retries =
-        io_retries_offset_ + (PoolRetries(pools_) - base_io_retries_);
-    merged_.checksum_failures =
-        checksum_failures_offset_ +
-        (PoolChecksumFailures(pools_) - base_checksum_failures_);
+    pool_baseline_.Fill(&merged_);
     if (status_ == JoinStatus::kOk) merge_.Resume();
     return merged_;
   }
@@ -493,11 +451,7 @@ class ShardedEngine {
   // engine's snapshot or the per-shard snapshots plus the merge cursor.
   // Same safe-point contract as the engines'.
   bool SaveState(snapshot::Blob* out) {
-    out->PutU32(kMagic);
-    out->PutU32(kVersion);
-    out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutBool(passthrough_ == nullptr);
-    out->PutU32(static_cast<uint32_t>(effective_shards()));
+    out->Append(Fingerprint());
     if (passthrough_ != nullptr) return passthrough_->SaveState(out);
     merge_.Quiesce();
     if (status_ == JoinStatus::kIoError ||
@@ -512,13 +466,12 @@ class ShardedEngine {
     }
     out->PutU64(emitted_);
     out->PutU8(static_cast<uint8_t>(status_));
-    out->PutU64(node_io_offset_ + (PoolMisses(pools_) - base_node_misses_));
-    out->PutU64(node_accesses_offset_ +
-                (PoolAccesses(pools_) - base_node_accesses_));
-    out->PutU64(io_retries_offset_ +
-                (PoolRetries(pools_) - base_io_retries_));
-    out->PutU64(checksum_failures_offset_ +
-                (PoolChecksumFailures(pools_) - base_checksum_failures_));
+    JoinStats pool;
+    pool_baseline_.Fill(&pool);
+    out->PutU64(pool.node_io);
+    out->PutU64(pool.node_accesses);
+    out->PutU64(pool.io_retries);
+    out->PutU64(pool.checksum_failures);
     for (auto& slot : merge_.slots()) {
       out->PutBool(slot.done);
       out->PutU8(static_cast<uint8_t>(slot.terminal));
@@ -531,7 +484,7 @@ class ShardedEngine {
       snapshot::Blob engine_blob;
       if (!slot.engine->SaveState(&engine_blob)) return false;
       out->PutU64(engine_blob.size());
-      out->PutBytes(engine_blob.data(), engine_blob.size());
+      out->Append(engine_blob);
     }
     if (status_ == JoinStatus::kOk) merge_.Resume();
     return true;
@@ -542,15 +495,7 @@ class ShardedEngine {
   // plan deterministically, so mode and shard count must match the saved
   // ones, and each shard engine verifies its own fingerprint.
   bool RestoreState(snapshot::BlobReader* in) {
-    if (in->GetU32() != kMagic) return false;
-    if (in->GetU32() != kVersion) return false;
-    if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    const bool sharded = in->GetBool();
-    if (sharded != (passthrough_ == nullptr)) return false;
-    if (in->GetU32() != static_cast<uint32_t>(effective_shards())) {
-      return false;
-    }
-    if (!in->ok()) return false;
+    if (!in->Expect(Fingerprint())) return false;
     if (passthrough_ != nullptr) return passthrough_->RestoreState(in);
     merge_.StopThreads();
     const uint64_t emitted = in->GetU64();
@@ -560,10 +505,11 @@ class ShardedEngine {
         status != static_cast<uint8_t>(JoinStatus::kSuspended)) {
       return false;
     }
-    const uint64_t node_io = in->GetU64();
-    const uint64_t node_accesses = in->GetU64();
-    const uint64_t io_retries = in->GetU64();
-    const uint64_t checksum_failures = in->GetU64();
+    JoinStats pool;
+    pool.node_io = in->GetU64();
+    pool.node_accesses = in->GetU64();
+    pool.io_retries = in->GetU64();
+    pool.checksum_failures = in->GetU64();
     if (!in->ok()) return false;
     for (auto& slot : merge_.slots()) {
       slot.done = in->GetBool();
@@ -598,16 +544,9 @@ class ShardedEngine {
                               ? JoinStatus::kExhausted
                               : JoinStatus::kOk,
                           emitted_);
-    // Rebase the pool baselines against the current counters, mirroring
-    // RestoreCore: stats() keeps reporting totals across the boundary.
-    node_io_offset_ = node_io;
-    node_accesses_offset_ = node_accesses;
-    io_retries_offset_ = io_retries;
-    checksum_failures_offset_ = checksum_failures;
-    base_node_misses_ = PoolMisses(pools_);
-    base_node_accesses_ = PoolAccesses(pools_);
-    base_io_retries_ = PoolRetries(pools_);
-    base_checksum_failures_ = PoolChecksumFailures(pools_);
+    // Rebase exactly as RestoreCore does: stats() keeps reporting totals
+    // across the boundary.
+    pool_baseline_.Rebase(pool);
     return true;
   }
 
@@ -616,11 +555,7 @@ class ShardedEngine {
   static constexpr uint32_t kVersion = 1;
 
   explicit ShardedEngine(std::vector<const storage::BufferPool*> pools)
-      : pools_(std::move(pools)),
-        base_node_misses_(PoolMisses(pools_)),
-        base_node_accesses_(PoolAccesses(pools_)),
-        base_io_retries_(PoolRetries(pools_)),
-        base_checksum_failures_(PoolChecksumFailures(pools_)) {}
+      : pool_baseline_(std::move(pools)) {}
 
   ~ShardedEngine() = default;
   ShardedEngine(const ShardedEngine&) = delete;
@@ -636,34 +571,74 @@ class ShardedEngine {
     }
   }
 
-  // Derived-constructor outcomes: exactly one of these runs.
-  void AdoptPassthrough(std::unique_ptr<EngineT> engine) {
-    passthrough_ = std::move(engine);
-  }
-
-  void AdoptShards(std::vector<std::unique_ptr<EngineT>> engines,
-                   const JoinStats& seed_stats, bool descending,
-                   util::StopToken stop_token, uint64_t max_results,
-                   bool auto_resume) {
-    seed_stats_ = seed_stats;
-    stop_token_ = std::move(stop_token);
+  // The one shard builder every Derived constructor calls. `make(options)`
+  // constructs one engine; `eligible` is the Derived's partitionability
+  // rule. Runs the plan on a seed engine (one classify thread, one shard,
+  // cleared stop token), then adopts either one passthrough engine with
+  // the caller's options or one defer-seeded engine per plan group, each
+  // with its own hybrid spill path. `allow_item2_fallback` is Scatter's;
+  // `max_results` caps the merged stream (0 = none); `auto_resume` gives
+  // NN semantics (a kSuspended status self-clears in Next).
+  template <typename Options, typename Make>
+  void BuildShards(const Options& options, bool eligible,
+                   bool allow_item2_fallback, bool descending,
+                   uint64_t max_results, bool auto_resume, const Make& make) {
+    const int requested = env_knobs::ResolveShards(options.shards);
+    Plan<Dim> plan;
+    if (eligible && requested >= 2) {
+      Options seed_options = options;
+      if constexpr (requires { seed_options.num_threads; }) {
+        seed_options.num_threads = 1;
+      }
+      seed_options.shards = 1;
+      seed_options.defer_seed = false;
+      seed_options.stop_token = util::StopToken{};
+      const std::unique_ptr<EngineT> seed = make(seed_options);
+      plan = BuildFromSeed<Dim>(seed.get(), requested, allow_item2_fallback);
+      if (plan.ok()) plan.seed_stats = EngineStats(*seed);
+    }
+    if (!plan.ok()) {
+      passthrough_ = make(options);
+      return;
+    }
+    std::vector<std::unique_ptr<EngineT>> engines;
+    engines.reserve(plan.groups.size());
+    for (size_t k = 0; k < plan.groups.size(); ++k) {
+      Options shard_options = options;
+      shard_options.shards = 1;
+      shard_options.defer_seed = true;
+      shard_options.stop_token = util::StopToken{};
+      if (shard_options.use_hybrid_queue &&
+          !shard_options.hybrid.spill_path.empty()) {
+        // Per-shard hybrid queues must not collide on one spill file.
+        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
+      }
+      std::unique_ptr<EngineT> engine = make(shard_options);
+      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
+      engines.push_back(std::move(engine));
+    }
+    seed_stats_ = plan.seed_stats;
+    stop_token_ = options.stop_token;
     max_results_ = max_results;
     auto_resume_ = auto_resume;
     merge_.Init(std::move(engines), descending);
   }
 
-  std::vector<const storage::BufferPool*> pools_;
-  uint64_t base_node_misses_;
-  uint64_t base_node_accesses_;
-  uint64_t base_io_retries_;
-  uint64_t base_checksum_failures_;
-  // Counter totals accumulated before the last RestoreState (the rebased
-  // baselines restart the live deltas at zero).
-  uint64_t node_io_offset_ = 0;
-  uint64_t node_accesses_offset_ = 0;
-  uint64_t io_retries_offset_ = 0;
-  uint64_t checksum_failures_offset_ = 0;
+ private:
+  // Wrapper framing: mode and shard count, which the constructor's
+  // deterministic re-plan must reproduce. Each engine section carries its
+  // own fingerprint.
+  snapshot::Blob Fingerprint() const {
+    snapshot::Blob fp;
+    fp.PutU32(kMagic);
+    fp.PutU32(kVersion);
+    fp.PutU32(static_cast<uint32_t>(Dim));
+    fp.PutBool(passthrough_ == nullptr);
+    fp.PutU32(static_cast<uint32_t>(effective_shards()));
+    return fp;
+  }
 
+  PoolBaseline pool_baseline_;
   std::unique_ptr<EngineT> passthrough_;
   mutable FrontierMerge<Dim, EngineT, ResultT> merge_;
   JoinStats seed_stats_;
@@ -707,57 +682,24 @@ class ShardedDistanceJoin
                       SemiJoinBound semi_bound = SemiJoinBound::kNone,
                       bool semi_estimation = false)
       : BaseT({&tree1.pool(), &tree2.pool()}) {
-    const int requested = env_knobs::ResolveShards(options.shards);
-    const bool eligible = requested >= 2 && !options.estimate_max_distance &&
+    const bool eligible = !options.estimate_max_distance &&
                           !options.reverse_order &&
                           options.exact_object_distance == nullptr &&
                           filters.object_filter1 == nullptr &&
                           filters.object_filter2 == nullptr;
-    shard::Plan<Dim> plan;
-    if (eligible) {
-      DistanceJoinOptions seed_options = options;
-      seed_options.num_threads = 1;
-      seed_options.shards = 1;
-      seed_options.defer_seed = false;
-      seed_options.stop_token = util::StopToken{};
-      DistanceJoin<Dim, Index> seed(tree1, tree2, seed_options, filters,
-                                    semi_filter, semi_bound, semi_estimation);
-      // Semi-joins partition S_o and the bound tables by first-item id, so
-      // only an item1 scatter is sound for them.
-      const bool symmetric = semi_filter == SemiJoinFilter::kNone &&
-                             semi_bound == SemiJoinBound::kNone &&
-                             !semi_estimation;
-      plan = shard::BuildFromSeed<Dim>(&seed, requested, symmetric);
-      if (plan.ok()) plan.seed_stats = seed.stats();
-    }
-    if (!plan.ok()) {
-      this->AdoptPassthrough(std::make_unique<DistanceJoin<Dim, Index>>(
-          tree1, tree2, options, std::move(filters), semi_filter, semi_bound,
-          semi_estimation));
-      return;
-    }
-    std::vector<std::unique_ptr<DistanceJoin<Dim, Index>>> engines;
-    engines.reserve(plan.groups.size());
-    for (size_t k = 0; k < plan.groups.size(); ++k) {
-      DistanceJoinOptions shard_options = options;
-      shard_options.shards = 1;
-      shard_options.defer_seed = true;
-      shard_options.stop_token = util::StopToken{};
-      if (shard_options.use_hybrid_queue &&
-          !shard_options.hybrid.spill_path.empty()) {
-        // Per-shard hybrid queues must not collide on one spill file.
-        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
-      }
-      auto engine = std::make_unique<DistanceJoin<Dim, Index>>(
-          tree1, tree2, shard_options, filters, semi_filter, semi_bound,
-          semi_estimation);
-      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
-      engines.push_back(std::move(engine));
-    }
-    this->AdoptShards(std::move(engines), plan.seed_stats,
-                      /*descending=*/false, options.stop_token,
-                      /*max_results=*/options.max_pairs,
-                      /*auto_resume=*/false);
+    // Semi-joins partition S_o and the bound tables by first-item id, so
+    // only an item1 scatter is sound for them.
+    const bool symmetric = semi_filter == SemiJoinFilter::kNone &&
+                           semi_bound == SemiJoinBound::kNone &&
+                           !semi_estimation;
+    this->BuildShards(
+        options, eligible, /*allow_item2_fallback=*/symmetric,
+        /*descending=*/false, /*max_results=*/options.max_pairs,
+        /*auto_resume=*/false, [&](const DistanceJoinOptions& o) {
+          return std::make_unique<DistanceJoin<Dim, Index>>(
+              tree1, tree2, o, filters, semi_filter, semi_bound,
+              semi_estimation);
+        });
   }
 };
 
@@ -784,43 +726,13 @@ class ShardedWithinJoin
   ShardedWithinJoin(const Index& tree1, const Index& tree2,
                     const WithinJoinOptions& options)
       : BaseT({&tree1.pool(), &tree2.pool()}) {
-    const int requested = env_knobs::ResolveShards(options.shards);
-    shard::Plan<Dim> plan;
-    if (requested >= 2) {
-      WithinJoinOptions seed_options = options;
-      seed_options.num_threads = 1;
-      seed_options.shards = 1;
-      seed_options.defer_seed = false;
-      seed_options.stop_token = util::StopToken{};
-      IncWithinJoin<Dim, Index> seed(tree1, tree2, seed_options);
-      plan = shard::BuildFromSeed<Dim>(&seed, requested,
-                                       /*allow_item2_fallback=*/true);
-      if (plan.ok()) plan.seed_stats = seed.stats();
-    }
-    if (!plan.ok()) {
-      this->AdoptPassthrough(std::make_unique<IncWithinJoin<Dim, Index>>(
-          tree1, tree2, options));
-      return;
-    }
-    std::vector<std::unique_ptr<IncWithinJoin<Dim, Index>>> engines;
-    engines.reserve(plan.groups.size());
-    for (size_t k = 0; k < plan.groups.size(); ++k) {
-      WithinJoinOptions shard_options = options;
-      shard_options.shards = 1;
-      shard_options.defer_seed = true;
-      shard_options.stop_token = util::StopToken{};
-      if (shard_options.use_hybrid_queue &&
-          !shard_options.hybrid.spill_path.empty()) {
-        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
-      }
-      auto engine = std::make_unique<IncWithinJoin<Dim, Index>>(
-          tree1, tree2, shard_options);
-      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
-      engines.push_back(std::move(engine));
-    }
-    this->AdoptShards(std::move(engines), plan.seed_stats,
-                      /*descending=*/false, options.stop_token,
-                      /*max_results=*/0, /*auto_resume=*/false);
+    this->BuildShards(options, /*eligible=*/true,
+                      /*allow_item2_fallback=*/true, /*descending=*/false,
+                      /*max_results=*/0, /*auto_resume=*/false,
+                      [&](const WithinJoinOptions& o) {
+                        return std::make_unique<IncWithinJoin<Dim, Index>>(
+                            tree1, tree2, o);
+                      });
   }
 };
 

@@ -58,6 +58,7 @@ class Blob {
     const char* p = static_cast<const char*>(src);
     data_.insert(data_.end(), p, p + n);
   }
+  void Append(const Blob& other) { PutBytes(other.data(), other.size()); }
 
   const char* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
@@ -89,6 +90,20 @@ class BlobReader {
     }
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
+    return true;
+  }
+
+  // Consumes the next expected.size() bytes if they equal `expected` byte
+  // for byte; otherwise consumes nothing and returns false. Restore paths
+  // check a fingerprint by re-writing the expected one into a scratch Blob
+  // and matching it here, so Save and Restore cannot disagree on its fields
+  // (doubles compare by bit pattern: -0.0 and +0.0 differ).
+  bool Expect(const Blob& expected) {
+    if (!ok_ || size_ - pos_ < expected.size() ||
+        std::memcmp(data_ + pos_, expected.data(), expected.size()) != 0) {
+      return false;
+    }
+    pos_ += expected.size();
     return true;
   }
 

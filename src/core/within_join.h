@@ -76,17 +76,21 @@ class IncWithinJoin
         tree2_(tree2),
         options_(options),
         isa_(simd::Resolve(options.kernel_isa)) {
-    SDJ_CHECK(options.epsilon >= 0.0);
+    // User input: a negative or NaN epsilon is reported, not an abort.
+    if (!(options.epsilon >= 0.0)) {
+      this->status_ = JoinStatus::kInvalidArgument;
+      return;
+    }
     spec_.max_distance = options.epsilon;
     spec_.metric = options.metric;
     if (options.defer_seed) return;
     if (tree1.empty() || tree2.empty()) return;
-    left_ = {Item{tree1.RootMbr(), tree1.root(),
-                  static_cast<int16_t>(tree1.root_level()),
-                  JoinItemKind::kNode}};
-    right_ = {Item{tree2.RootMbr(), tree2.root(),
-                   static_cast<int16_t>(tree2.root_level()),
-                   JoinItemKind::kNode}};
+    left_.resize(1);
+    right_.resize(1);
+    if (!this->RootItem(tree1, &left_[0]) ||
+        !this->RootItem(tree2, &right_[0])) {
+      return;
+    }
     this->ClassifyAndEnqueue(
         spec_, 1, /*pre_mind=*/nullptr, /*object_pair=*/false,
         [&](size_t) -> const Item& { return left_[0]; },
@@ -96,34 +100,12 @@ class IncWithinJoin
   // Same contract as DistanceJoin::SaveState/RestoreState.
   bool SaveState(snapshot::Blob* out) {
     if (!this->SaveAllowed()) return false;
-    out->PutU32(kStateMagic);
-    out->PutU32(kStateVersion);
-    out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
-    out->PutDouble(options_.epsilon);
-    out->PutBool(options_.screen_codes);
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
-    out->PutU64(tree1_.size());
-    out->PutU64(tree2_.size());
+    out->Append(Fingerprint());
     return this->SaveCore(out);
   }
 
   bool RestoreState(snapshot::BlobReader* in) {
-    if (in->GetU32() != kStateMagic) return false;
-    if (in->GetU32() != kStateVersion) return false;
-    if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
-    if (in->GetDouble() != options_.epsilon) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
-    if (in->GetU64() != tree1_.size()) return false;
-    if (in->GetU64() != tree2_.size()) return false;
-    if (!in->ok()) return false;
-    return this->RestoreCore(in);
+    return in->Expect(Fingerprint()) && this->RestoreCore(in);
   }
 
  private:
@@ -138,6 +120,22 @@ class IncWithinJoin
   // Version 2: screen_codes in the fingerprint, screening counters in the
   // shared stats section.
   static constexpr uint32_t kStateVersion = 2;
+
+  snapshot::Blob Fingerprint() const {
+    snapshot::Blob fp;
+    fp.PutU32(kStateMagic);
+    fp.PutU32(kStateVersion);
+    fp.PutU32(static_cast<uint32_t>(Dim));
+    fp.PutU8(static_cast<uint8_t>(options_.metric));
+    fp.PutU8(static_cast<uint8_t>(options_.tie_break));
+    fp.PutDouble(options_.epsilon);
+    fp.PutBool(options_.screen_codes);
+    fp.PutBool(options_.use_hybrid_queue);
+    fp.PutDouble(options_.hybrid.tier_width);
+    fp.PutU64(tree1_.size());
+    fp.PutU64(tree2_.size());
+    return fp;
+  }
 
   static BestFirstConfig MakeConfig(const WithinJoinOptions& options) {
     return BestFirstConfig{options.tie_break,

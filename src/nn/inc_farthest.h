@@ -38,18 +38,11 @@ class IncFarthestNeighbor
 
   IncFarthestNeighbor(const Index& tree, const Point<Dim>& query,
                       Metric metric = Metric::kEuclidean)
-      : Engine(tree, query, WithMetric(metric)) {}
+      : Engine(tree, query, IncNeighborOptions::WithMetric(metric)) {}
 
   IncFarthestNeighbor(const Index& tree, const Point<Dim>& query,
                       const IncNeighborOptions& options)
       : Engine(tree, query, options) {}
-
- private:
-  static IncNeighborOptions WithMetric(Metric metric) {
-    IncNeighborOptions options;
-    options.metric = metric;
-    return options;
-  }
 };
 
 }  // namespace sdj

@@ -48,18 +48,11 @@ class IncNearestNeighbor
 
   IncNearestNeighbor(const Index& tree, const Point<Dim>& query,
                      Metric metric = Metric::kEuclidean)
-      : Engine(tree, query, WithMetric(metric)) {}
+      : Engine(tree, query, IncNeighborOptions::WithMetric(metric)) {}
 
   IncNearestNeighbor(const Index& tree, const Point<Dim>& query,
                      const IncNeighborOptions& options)
       : Engine(tree, query, options) {}
-
- private:
-  static IncNeighborOptions WithMetric(Metric metric) {
-    IncNeighborOptions options;
-    options.metric = metric;
-    return options;
-  }
 };
 
 // Convenience: the k nearest objects to `query`, closest first (fewer if the

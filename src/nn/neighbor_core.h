@@ -27,6 +27,7 @@
 #include "core/best_first.h"
 #include "core/hybrid_queue.h"
 #include "core/join_result.h"
+#include "core/join_stats.h"
 #include "core/pair_entry.h"
 #include "geometry/code_screen.h"
 #include "geometry/distance.h"
@@ -49,6 +50,11 @@ struct IncNearestStats {
   uint64_t max_queue_size = 0;
   uint64_t nodes_expanded = 0;
   uint64_t neighbors_reported = 0;
+
+  static IncNearestStats From(const JoinStats& s) {
+    return {s.total_distance_calcs, s.queue_pushes, s.max_queue_size,
+            s.nodes_expanded, s.pairs_reported};
+  }
 };
 
 // One reported neighbor.
@@ -92,6 +98,14 @@ struct IncNeighborOptions {
   // Internal (core/shard_plan.h): skip root seeding; the plan adopts
   // externally planned entries instead. Not for direct use.
   bool defer_seed = false;
+
+  // Default options with `metric` set: the shorthand behind every
+  // (tree, query, metric) neighbor constructor.
+  static IncNeighborOptions WithMetric(Metric metric) {
+    IncNeighborOptions options;
+    options.metric = metric;
+    return options;
+  }
 };
 
 // The shared engine; `Derived` is the concrete iterator class
@@ -122,12 +136,7 @@ class NeighborEngine
 
   // Traversal counters in the historical NN shape.
   const IncNearestStats& stats() const {
-    const JoinStats& s = Base::stats();
-    nn_stats_.distance_calcs = s.total_distance_calcs;
-    nn_stats_.queue_pushes = s.queue_pushes;
-    nn_stats_.max_queue_size = s.max_queue_size;
-    nn_stats_.nodes_expanded = s.nodes_expanded;
-    nn_stats_.neighbors_reported = s.pairs_reported;
+    nn_stats_ = IncNearestStats::From(Base::stats());
     return nn_stats_;
   }
 
@@ -141,19 +150,7 @@ class NeighborEngine
   // false if the state cannot be captured completely.
   bool SaveState(snapshot::Blob* out) {
     if (!this->SaveAllowed()) return false;
-    out->PutU32(kStateMagic);
-    out->PutU32(kStateVersion);
-    out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
-    out->PutBool(kFarthest);
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
-    out->PutDouble(options_.max_distance);
-    out->PutBool(options_.screen_codes);
-    for (int d = 0; d < Dim; ++d) out->PutDouble(query_[d]);
-    out->PutBool(minimal_regions_);
-    out->PutU64(tree_.size());
+    out->Append(Fingerprint());
     return this->SaveCore(out);
   }
 
@@ -161,25 +158,7 @@ class NeighborEngine
   // returns false with the engine untouched; a malformed blob past the
   // fingerprint leaves it unusable.
   bool RestoreState(snapshot::BlobReader* in) {
-    if (in->GetU32() != kStateMagic) return false;
-    if (in->GetU32() != kStateVersion) return false;
-    if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
-    if (in->GetBool() != kFarthest) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
-    // NaN-proof compare (an infinite bound round-trips exactly; NaN is
-    // rejected at construction).
-    if (in->GetDouble() != options_.max_distance) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
-    for (int d = 0; d < Dim; ++d) {
-      if (in->GetDouble() != query_[d]) return false;
-    }
-    if (in->GetBool() != minimal_regions_) return false;
-    if (in->GetU64() != tree_.size()) return false;
-    if (!in->ok()) return false;
-    return this->RestoreCore(in);
+    return in->Expect(Fingerprint()) && this->RestoreCore(in);
   }
 
  protected:
@@ -196,6 +175,7 @@ class NeighborEngine
   using Base::MarkIoError;
   using Base::PinDecode;
   using Base::PinDecodeScreened;
+  using Base::kInf;
 
   NeighborEngine(const Index& tree, const Point<Dim>& query,
                  const IncNeighborOptions& options)
@@ -205,15 +185,17 @@ class NeighborEngine
         options_(options),
         minimal_regions_(tree.minimal_bounding_regions()),
         isa_(simd::Resolve(options.kernel_isa)) {
-    // The hybrid queue buckets by key and CHECKs key == distance; farthest
-    // keys are negated, so the tiered queue is nearest-only (mirroring the
-    // join's hybrid-excludes-reverse restriction).
-    if (kFarthest) SDJ_CHECK(!options.use_hybrid_queue);
-    // Rejects NaN too (comparisons with NaN are false).
-    SDJ_CHECK(options.max_distance >= 0.0);
-    if (kFarthest) {
-      SDJ_CHECK(options.max_distance ==
-                std::numeric_limits<double>::infinity());
+    // User input: a violated precondition is reported as kInvalidArgument,
+    // never an abort. The hybrid queue buckets by key and CHECKs
+    // key == distance; farthest keys are negated, so the tiered queue is
+    // nearest-only (mirroring the join's hybrid-excludes-reverse rule). A
+    // finite bound would truncate a farthest stream from the wrong end. The
+    // first comparison rejects NaN too.
+    if (!(options.max_distance >= 0.0) ||
+        (kFarthest && (options.use_hybrid_queue ||
+                       options.max_distance != kInf))) {
+      status_ = JoinStatus::kInvalidArgument;
+      return;
     }
     for (int d = 0; d < Dim; ++d) {
       query_rect_.lo[d] = query_[d];
@@ -302,6 +284,24 @@ class NeighborEngine
   // counters in the shared stats section.
   static constexpr uint32_t kStateVersion = 2;
 
+  snapshot::Blob Fingerprint() const {
+    snapshot::Blob fp;
+    fp.PutU32(kStateMagic);
+    fp.PutU32(kStateVersion);
+    fp.PutU32(static_cast<uint32_t>(Dim));
+    fp.PutU8(static_cast<uint8_t>(options_.metric));
+    fp.PutBool(kFarthest);
+    fp.PutU8(static_cast<uint8_t>(options_.tie_break));
+    fp.PutBool(options_.use_hybrid_queue);
+    fp.PutDouble(options_.hybrid.tier_width);
+    fp.PutDouble(options_.max_distance);
+    fp.PutBool(options_.screen_codes);
+    for (int d = 0; d < Dim; ++d) fp.PutDouble(query_[d]);
+    fp.PutBool(minimal_regions_);
+    fp.PutU64(tree_.size());
+    return fp;
+  }
+
   static BestFirstConfig MakeConfig(const IncNeighborOptions& options) {
     BestFirstConfig config;
     config.tie_break = options.tie_break;
@@ -315,16 +315,14 @@ class NeighborEngine
 
   void Seed() {
     if (tree_.empty()) return;
-    const Rect<Dim> mbr = tree_.RootMbr();
     Entry root;
+    if (!this->RootItem(tree_, &root.item1)) return;
     // The root is the only entry when popped, so its key never competes;
     // still use the real bound (uncounted, like the historical constant
     // seed) so the hybrid queue's key == distance invariant holds.
+    const Rect<Dim>& mbr = root.item1.rect;
     root.distance = kFarthest ? MaxDist(query_, mbr, options_.metric)
                               : MinDist(query_, mbr, options_.metric);
-    root.item1 = Item{mbr, tree_.root(),
-                      static_cast<int16_t>(tree_.root_level()),
-                      JoinItemKind::kNode};
     root.seq = next_seq_++;
     FinalizePairMetadata(&root);
     root.key = kFarthest ? -root.distance : root.distance;

@@ -14,14 +14,11 @@
 #define SDJOIN_NN_SHARDED_NEIGHBOR_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "core/env_knobs.h"
 #include "core/join_stats.h"
 #include "core/shard_merge.h"
-#include "core/shard_plan.h"
 #include "geometry/metrics.h"
 #include "geometry/point.h"
 #include "nn/inc_farthest.h"
@@ -45,54 +42,20 @@ class ShardedNeighbor
   ShardedNeighbor(const Index& tree, const Point<Dim>& query,
                   const IncNeighborOptions& options)
       : BaseT({&tree.pool()}) {
-    const int requested = env_knobs::ResolveShards(options.shards);
-    Plan<Dim> plan;
-    if (requested >= 2) {
-      IncNeighborOptions seed_options = options;
-      seed_options.shards = 1;
-      seed_options.defer_seed = false;
-      seed_options.stop_token = util::StopToken{};
-      EngineT seed(tree, query, seed_options);
-      // The query side is a pseudo-item (every entry's item2 coincides), so
-      // only the item1 scatter can ever partition.
-      plan = BuildFromSeed<Dim>(&seed, requested,
-                                /*allow_item2_fallback=*/false);
-      if (plan.ok()) plan.seed_stats = seed.engine_stats();
-    }
-    if (!plan.ok()) {
-      this->AdoptPassthrough(std::make_unique<EngineT>(tree, query, options));
-      return;
-    }
-    std::vector<std::unique_ptr<EngineT>> engines;
-    engines.reserve(plan.groups.size());
-    for (size_t k = 0; k < plan.groups.size(); ++k) {
-      IncNeighborOptions shard_options = options;
-      shard_options.shards = 1;
-      shard_options.defer_seed = true;
-      shard_options.stop_token = util::StopToken{};
-      if (shard_options.use_hybrid_queue &&
-          !shard_options.hybrid.spill_path.empty()) {
-        // Per-shard hybrid queues must not collide on one spill file.
-        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
-      }
-      auto engine = std::make_unique<EngineT>(tree, query, shard_options);
-      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
-      engines.push_back(std::move(engine));
-    }
-    this->AdoptShards(std::move(engines), plan.seed_stats, kDescending,
-                      options.stop_token, /*max_results=*/0,
-                      /*auto_resume=*/true);
+    // The query side is a pseudo-item (every entry's item2 coincides), so
+    // only the item1 scatter can ever partition.
+    this->BuildShards(options, /*eligible=*/true,
+                      /*allow_item2_fallback=*/false, kDescending,
+                      /*max_results=*/0, /*auto_resume=*/true,
+                      [&](const IncNeighborOptions& o) {
+                        return std::make_unique<EngineT>(tree, query, o);
+                      });
   }
 
   // Traversal counters in the historical NN shape (mirrors
   // NeighborEngine::stats(); engine_stats() exposes the merged full set).
   const IncNearestStats& stats() const {
-    const JoinStats& s = BaseT::stats();
-    nn_stats_.distance_calcs = s.total_distance_calcs;
-    nn_stats_.queue_pushes = s.queue_pushes;
-    nn_stats_.max_queue_size = s.max_queue_size;
-    nn_stats_.nodes_expanded = s.nodes_expanded;
-    nn_stats_.neighbors_reported = s.pairs_reported;
+    nn_stats_ = IncNearestStats::From(BaseT::stats());
     return nn_stats_;
   }
   const JoinStats& engine_stats() const { return BaseT::stats(); }
@@ -124,14 +87,7 @@ class ShardedIncNearest
       : BaseT(tree, query, options) {}
   ShardedIncNearest(const Index& tree, const Point<Dim>& query,
                     Metric metric = Metric::kEuclidean)
-      : BaseT(tree, query, WithMetric(metric)) {}
-
- private:
-  static IncNeighborOptions WithMetric(Metric metric) {
-    IncNeighborOptions options;
-    options.metric = metric;
-    return options;
-  }
+      : BaseT(tree, query, IncNeighborOptions::WithMetric(metric)) {}
 };
 
 // Sharded farthest-neighbor iterator; drop-in for IncFarthestNeighbor. The
@@ -151,14 +107,7 @@ class ShardedIncFarthest
       : BaseT(tree, query, options) {}
   ShardedIncFarthest(const Index& tree, const Point<Dim>& query,
                      Metric metric = Metric::kEuclidean)
-      : BaseT(tree, query, WithMetric(metric)) {}
-
- private:
-  static IncNeighborOptions WithMetric(Metric metric) {
-    IncNeighborOptions options;
-    options.metric = metric;
-    return options;
-  }
+      : BaseT(tree, query, IncNeighborOptions::WithMetric(metric)) {}
 };
 
 }  // namespace sdj

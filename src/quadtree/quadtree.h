@@ -184,6 +184,11 @@ class PointQuadtree {
   int root_level() const { return options_.max_depth; }
   // The quadtree's region (its fixed extent, not a minimal bound).
   Rect<Dim> RootMbr() const { return extent_; }
+  // Interface parity with RTree::TryRootMbr: the extent needs no page read.
+  bool TryRootMbr(Rect<Dim>* out) const {
+    *out = extent_;
+    return true;
+  }
   const Rect<Dim>& extent() const { return extent_; }
   uint32_t bucket_capacity() const { return bucket_capacity_; }
   size_t num_nodes() const { return num_nodes_; }

@@ -304,6 +304,17 @@ class RTree {
     return MbrOfNode(node);
   }
 
+  // RootMbr through TryPin, for the engines' seeding (DESIGN.md §9): false
+  // if the root page is unreadable. Open() reads only the meta page, so the
+  // root's first read can be an engine's. Tree must be non-empty.
+  bool TryRootMbr(Rect<Dim>* out) const {
+    SDJ_CHECK(!empty());
+    PinnedNode node = TryPin(root_);
+    if (!node.ok()) return false;
+    *out = MbrOfNode(node);
+    return true;
+  }
+
   // Guaranteed lower bound on the number of objects in the subtree of a node
   // at `level` (Section 2.2.4: derived from minimum fan-out and height). The
   // root is exempt from the minimum-fill rule, but only non-root nodes appear

@@ -22,6 +22,20 @@ struct IoStats {
   uint64_t read_failures = 0;       // reads abandoned after retries ran out
   uint64_t write_failures = 0;      // writes abandoned after retries ran out
 
+  IoStats& operator+=(const IoStats& other) {
+    logical_reads += other.logical_reads;
+    buffer_hits += other.buffer_hits;
+    buffer_misses += other.buffer_misses;
+    physical_reads += other.physical_reads;
+    physical_writes += other.physical_writes;
+    read_retries += other.read_retries;
+    write_retries += other.write_retries;
+    checksum_failures += other.checksum_failures;
+    read_failures += other.read_failures;
+    write_failures += other.write_failures;
+    return *this;
+  }
+
   IoStats operator-(const IoStats& other) const {
     return IoStats{logical_reads - other.logical_reads,
                    buffer_hits - other.buffer_hits,

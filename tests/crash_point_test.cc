@@ -388,23 +388,6 @@ using Pair = std::tuple<uint64_t, uint64_t, double>;
 
 Pair AsTuple(const JoinResult<2>& r) { return {r.id1, r.id2, r.distance}; }
 
-void ExpectStatsEqual(const JoinStats& a, const JoinStats& b) {
-  EXPECT_EQ(a.pairs_reported, b.pairs_reported);
-  EXPECT_EQ(a.object_distance_calcs, b.object_distance_calcs);
-  EXPECT_EQ(a.total_distance_calcs, b.total_distance_calcs);
-  EXPECT_EQ(a.queue_pushes, b.queue_pushes);
-  EXPECT_EQ(a.queue_pops, b.queue_pops);
-  EXPECT_EQ(a.max_queue_size, b.max_queue_size);
-  EXPECT_EQ(a.node_io, b.node_io);
-  EXPECT_EQ(a.node_accesses, b.node_accesses);
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
-  EXPECT_EQ(a.pruned_by_range, b.pruned_by_range);
-  EXPECT_EQ(a.pruned_by_bound, b.pruned_by_bound);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.spill_fallbacks, b.spill_fallbacks);
-}
 
 std::vector<Point<2>> MakePoints(size_t n, uint64_t seed) {
   const Rect<2> extent({0.0, 0.0}, {1000.0, 1000.0});
@@ -500,7 +483,7 @@ TEST(CrashPointSweep, CursorCheckpointCrashResumesStreamAndStatsIdentical) {
     while (cursor.Next(&r)) stream.push_back(AsTuple(r));
     ASSERT_EQ(cursor.status(), JoinStatus::kExhausted);
     EXPECT_EQ(stream, ref);
-    ExpectStatsEqual(join.stats(), ref_stats);
+    test::ExpectStatsEqual(join.stats(), ref_stats);
   }
   std::printf("[ crash-sweep ] cursor checkpoints: %llu crash points "
               "covered\n",

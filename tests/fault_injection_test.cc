@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "core/distance_join.h"
 #include "core/hybrid_queue.h"
 #include "core/semi_join.h"
+#include "core/shard_merge.h"
 #include "core/within_join.h"
 #include "data/generators.h"
 #include "nn/inc_farthest.h"
@@ -457,6 +459,61 @@ TEST_F(FaultyJoinTest, HardFaultYieldsIoErrorWithValidPrefix) {
                                  clean.begin() + partial.size()),
       partial);
   EXPECT_GT(ta->injector()->counters().hard_read_faults, 0u);
+}
+
+// RTree::Open reads only the meta page, so when every read after Open fails
+// the first failing read is the root page an engine seeds from. Seeding
+// goes through TryPin like every other node read: each engine must stop
+// with kIoError instead of aborting the process.
+TEST_F(FaultyJoinTest, UnreadableRootYieldsIoErrorNotAbort) {
+  uint64_t open_reads = 0;
+  {
+    auto probe = OpenFaulty(path_a_, FaultInjectionOptions{});
+    ASSERT_NE(probe, nullptr);
+    open_reads = probe->injector()->counters().reads;
+  }
+  FaultInjectionOptions faults;
+  faults.hard_read_after = open_reads;
+  const auto expect_io_error = [](auto* engine, const char* what) {
+    SCOPED_TRACE(what);
+    typename std::remove_pointer_t<decltype(engine)>::Result r;
+    EXPECT_FALSE(engine->Next(&r));
+    EXPECT_EQ(engine->status(), JoinStatus::kIoError);
+  };
+  {
+    auto ta = OpenFaulty(path_a_, faults);
+    auto tb = OpenFaulty(path_b_, faults);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tb, nullptr);
+    DistanceJoin<2> join(*ta, *tb, DistanceJoinOptions{});
+    expect_io_error(&join, "DistanceJoin");
+  }
+  {
+    auto ta = OpenFaulty(path_a_, faults);
+    auto tb = OpenFaulty(path_b_, faults);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tb, nullptr);
+    WithinJoinOptions options;
+    options.epsilon = 25.0;
+    IncWithinJoin<2> join(*ta, *tb, options);
+    expect_io_error(&join, "IncWithinJoin");
+  }
+  {
+    auto ta = OpenFaulty(path_a_, faults);
+    ASSERT_NE(ta, nullptr);
+    IncNearestNeighbor<2> nn(*ta, Point<2>{413.0, 287.0});
+    expect_io_error(&nn, "IncNearestNeighbor");
+  }
+  {
+    auto ta = OpenFaulty(path_a_, faults);
+    auto tb = OpenFaulty(path_b_, faults);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tb, nullptr);
+    DistanceJoinOptions options;
+    options.shards = 4;
+    ShardedDistanceJoin<2> join(*ta, *tb, options);
+    expect_io_error(&join, "ShardedDistanceJoin");
+  }
 }
 
 TEST_F(FaultyJoinTest, SemiJoinReportsIoErrorToo) {

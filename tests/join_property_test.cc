@@ -248,29 +248,7 @@ void ExpectTracesIdentical(const JoinTrace& serial, const JoinTrace& other,
     ASSERT_EQ(serial.pairs[i].rect2, other.pairs[i].rect2) << i;
   }
   EXPECT_EQ(serial.status, other.status) << threads << " threads";
-  const JoinStats& s = serial.stats;
-  const JoinStats& o = other.stats;
-  EXPECT_EQ(s.pairs_reported, o.pairs_reported);
-  EXPECT_EQ(s.object_distance_calcs, o.object_distance_calcs);
-  EXPECT_EQ(s.total_distance_calcs, o.total_distance_calcs);
-  EXPECT_EQ(s.queue_pushes, o.queue_pushes);
-  EXPECT_EQ(s.queue_pops, o.queue_pops);
-  EXPECT_EQ(s.max_queue_size, o.max_queue_size);
-  EXPECT_EQ(s.node_io, o.node_io);
-  EXPECT_EQ(s.node_accesses, o.node_accesses);
-  EXPECT_EQ(s.nodes_expanded, o.nodes_expanded);
-  EXPECT_EQ(s.pruned_by_range, o.pruned_by_range);
-  EXPECT_EQ(s.pruned_by_estimate, o.pruned_by_estimate);
-  EXPECT_EQ(s.pruned_by_bound, o.pruned_by_bound);
-  EXPECT_EQ(s.pruned_by_filter, o.pruned_by_filter);
-  EXPECT_EQ(s.filtered_reported, o.filtered_reported);
-  EXPECT_EQ(s.restarts, o.restarts);
-  EXPECT_EQ(s.io_retries, o.io_retries);
-  EXPECT_EQ(s.checksum_failures, o.checksum_failures);
-  EXPECT_EQ(s.spill_fallbacks, o.spill_fallbacks);
-  EXPECT_EQ(s.batch_kernel_invocations, o.batch_kernel_invocations);
-  EXPECT_EQ(s.screened_candidates, o.screened_candidates);
-  EXPECT_EQ(s.screen_survivors, o.screen_survivors);
+  test::ExpectStatsEqual(serial.stats, other.stats, {"parallel_expansions"});
 }
 
 class ParallelJoinFuzz : public ::testing::TestWithParam<uint64_t> {};

@@ -1,12 +1,19 @@
 // Shared helpers for the join/semi-join test suites: tree construction from
-// point sets and brute-force reference results.
+// point sets, brute-force reference results, and the one JoinStats
+// comparator.
 #ifndef SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 #define SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 
 #include <algorithm>
+#include <initializer_list>
+#include <iterator>
 #include <limits>
+#include <string_view>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "core/join_stats.h"
 #include "geometry/distance.h"
 #include "geometry/metrics.h"
 #include "geometry/point.h"
@@ -89,6 +96,29 @@ inline std::vector<double> BruteForceNearestByObject(
     }
   }
   return nearest;
+}
+
+// Expects every JoinStats counter of `a` and `b` to match, walking
+// kJoinStatFields, except the counters named in `except` (each name must
+// be a real field). Call sites name their exclusions: parallel_expansions
+// across thread counts, max_queue_size for sharded runs.
+inline void ExpectStatsEqual(const JoinStats& a, const JoinStats& b,
+                             std::initializer_list<std::string_view> except =
+                                 {}) {
+  for (const std::string_view name : except) {
+    EXPECT_TRUE(std::any_of(std::begin(kJoinStatFields),
+                            std::end(kJoinStatFields),
+                            [&](const JoinStatField& f) {
+                              return name == f.name;
+                            }))
+        << "unknown JoinStats field " << name;
+  }
+  for (const JoinStatField& f : kJoinStatFields) {
+    if (std::find(except.begin(), except.end(), f.name) != except.end()) {
+      continue;
+    }
+    EXPECT_EQ(a.*f.member, b.*f.member) << "JoinStats::" << f.name;
+  }
 }
 
 }  // namespace sdj::test

@@ -65,30 +65,6 @@ using Pair = std::tuple<uint64_t, uint64_t, double>;
 
 Pair AsTuple(const JoinResult<2>& r) { return {r.id1, r.id2, r.distance}; }
 
-// Same field-by-field comparison the cursor tests use: resumed/evicted runs
-// must be statistics-identical, not just stream-identical.
-void ExpectStatsEqual(const JoinStats& a, const JoinStats& b) {
-  EXPECT_EQ(a.pairs_reported, b.pairs_reported);
-  EXPECT_EQ(a.object_distance_calcs, b.object_distance_calcs);
-  EXPECT_EQ(a.total_distance_calcs, b.total_distance_calcs);
-  EXPECT_EQ(a.queue_pushes, b.queue_pushes);
-  EXPECT_EQ(a.queue_pops, b.queue_pops);
-  EXPECT_EQ(a.max_queue_size, b.max_queue_size);
-  EXPECT_EQ(a.node_io, b.node_io);
-  EXPECT_EQ(a.node_accesses, b.node_accesses);
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
-  EXPECT_EQ(a.pruned_by_range, b.pruned_by_range);
-  EXPECT_EQ(a.pruned_by_estimate, b.pruned_by_estimate);
-  EXPECT_EQ(a.pruned_by_bound, b.pruned_by_bound);
-  EXPECT_EQ(a.pruned_by_filter, b.pruned_by_filter);
-  EXPECT_EQ(a.filtered_reported, b.filtered_reported);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.io_retries, b.io_retries);
-  EXPECT_EQ(a.checksum_failures, b.checksum_failures);
-  EXPECT_EQ(a.spill_fallbacks, b.spill_fallbacks);
-  EXPECT_EQ(a.batch_kernel_invocations, b.batch_kernel_invocations);
-  EXPECT_EQ(a.parallel_expansions, b.parallel_expansions);
-}
 
 std::vector<Point<2>> MakePoints(size_t n, uint64_t seed) {
   const Rect<2> extent({0.0, 0.0}, {1000.0, 1000.0});
@@ -257,7 +233,7 @@ TEST(SessionManager, ServesSingleSessionToExhaustion) {
   std::vector<Pair> stream;
   DrainSession(&manager, admit.id, &stream);
   EXPECT_EQ(stream, ref.stream);
-  ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
   EXPECT_EQ(manager.state(admit.id), SessionState::kFinished);
   EXPECT_EQ(manager.stats().finished_sessions, 1u);
   // Terminal and unknown sessions answer with a status, never an abort.
@@ -308,7 +284,7 @@ TEST(SessionManager, SlicedStreamIsIdenticalToUnslicedReference) {
   // However many slice deadlines fired mid-run, the suspension safe points
   // are invisible: stream and statistics match the unsliced run exactly.
   EXPECT_EQ(stream, ref.stream);
-  ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
 }
 
 // --- checkpoint-evict-resume -------------------------------------------------
@@ -336,7 +312,7 @@ TEST(SessionManager, ExplicitEvictRehydratesTransparently) {
   // The next Next() rebuilds the engine and resumes the checkpoint.
   DrainSession(&manager, admit.id, &stream);
   EXPECT_EQ(stream, ref.stream);
-  ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
   const serve::SessionCounters counters = manager.counters(admit.id);
   EXPECT_EQ(counters.evictions, 1u);
   EXPECT_EQ(counters.rehydrations, 1u);
@@ -392,7 +368,7 @@ TEST(SessionManager, MemoryPressureEvictsColdestSessions) {
   for (size_t i = 0; i < ids.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "session " << i);
     EXPECT_EQ(streams[ids[i]], refs[i].stream);
-    ExpectStatsEqual(manager.session_stats(ids[i]), refs[i].stats);
+    test::ExpectStatsEqual(manager.session_stats(ids[i]), refs[i].stats);
   }
 }
 
@@ -473,7 +449,7 @@ TEST(SessionManager, EvictResumeEquivalenceFuzzUnderFaults) {
   for (size_t i = 0; i < ids.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "session " << i);
     EXPECT_EQ(streams[ids[i]], refs[i].stream);
-    ExpectStatsEqual(manager.session_stats(ids[i]), refs[i].stats);
+    test::ExpectStatsEqual(manager.session_stats(ids[i]), refs[i].stats);
   }
 }
 
@@ -520,7 +496,7 @@ TEST(SessionManager, PinnedResidentWhenCheckpointCannotCommit) {
   EXPECT_EQ(manager.state(admit.id), SessionState::kEvicted);
   DrainSession(&manager, admit.id, &stream);
   EXPECT_EQ(stream, ref.stream);
-  ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
 }
 
 TEST(SessionManager, DeadDiskPinsEverySessionButAllComplete) {
@@ -628,7 +604,49 @@ TEST(SessionManager, RehydrationFailureIsIsolatedToItsSession) {
   std::vector<Pair> stream;
   DrainSession(&manager, good.id, &stream);
   EXPECT_EQ(stream, good_ref.stream);
-  ExpectStatsEqual(manager.session_stats(good.id), good_ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(good.id), good_ref.stats);
+}
+
+// Query options are user input: a session admitted with invalid options
+// fails alone with kInvalidArgument — before this engine construction
+// aborted, killing every session in the process.
+TEST(SessionManager, InvalidOptionsFailOnlyTheirSession) {
+  const auto a = MakePoints(50, 45);
+  const auto b = MakePoints(50, 46);
+  DistanceJoinOptions join_options;
+  join_options.max_pairs = 30;
+  WithinJoinOptions within_options;
+  within_options.epsilon = 40.0;
+  DistanceJoinOptions bad_options;
+  bad_options.min_distance = 9.0;
+  bad_options.max_distance = 3.0;  // inverted range
+  const EngineFactory join_factory = JoinFactory(a, b, join_options);
+  const EngineFactory within_factory = WithinFactory(a, b, within_options);
+  const Reference join_ref = RunReference(join_factory);
+  const Reference within_ref = RunReference(within_factory);
+
+  serve::SessionManager<2> manager(serve::ServeOptions{});
+  const auto good_join = manager.Admit("join", join_factory);
+  const auto bad = manager.Admit("bad", JoinFactory(a, b, bad_options));
+  const auto good_within = manager.Admit("within", within_factory);
+  ASSERT_EQ(good_join.status, ServeStatus::kOk);
+  ASSERT_EQ(bad.status, ServeStatus::kOk);
+  ASSERT_EQ(good_within.status, ServeStatus::kOk);
+
+  JoinResult<2> r;
+  EXPECT_EQ(manager.Next(bad.id, &r), ServeStatus::kInvalidArgument);
+  EXPECT_EQ(manager.state(bad.id), SessionState::kFailed);
+  std::vector<Pair> join_stream;
+  std::vector<Pair> within_stream;
+  DrainSession(&manager, good_join.id, &join_stream);
+  DrainSession(&manager, good_within.id, &within_stream);
+  EXPECT_EQ(join_stream, join_ref.stream);
+  EXPECT_EQ(within_stream, within_ref.stream);
+  test::ExpectStatsEqual(manager.session_stats(good_join.id), join_ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(good_within.id),
+                         within_ref.stats);
+  EXPECT_EQ(manager.stats().failed_sessions, 1u);
+  EXPECT_EQ(manager.stats().finished_sessions, 2u);
 }
 
 // --- crash recovery ----------------------------------------------------------
@@ -688,8 +706,8 @@ TEST(SessionManager, CrashRecoveryResumesCheckpointedSessions) {
   DrainSession(&manager, id_b, &streams["join-b"]);
   EXPECT_EQ(streams["join-a"], ref_a.stream);
   EXPECT_EQ(streams["join-b"], ref_b.stream);
-  ExpectStatsEqual(manager.session_stats(id_a), ref_a.stats);
-  ExpectStatsEqual(manager.session_stats(id_b), ref_b.stats);
+  test::ExpectStatsEqual(manager.session_stats(id_a), ref_a.stats);
+  test::ExpectStatsEqual(manager.session_stats(id_b), ref_b.stats);
 
   // The id allocator's high-water mark was recovered too: new sessions must
   // not collide with recovered ids.
@@ -838,7 +856,7 @@ TEST(SessionManager, SelfHealFallsBackToOlderEpochAndMarksDegraded) {
   // exactly where the epoch-2 checkpoint stopped — no duplicates, no gaps.
   DrainSession(&manager, admit.id, &stream);
   EXPECT_EQ(stream, ref.stream);
-  ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(admit.id), ref.stats);
   EXPECT_EQ(manager.health(admit.id), serve::SessionHealth::kDegraded);
   EXPECT_EQ(manager.stats().degraded_sessions, 1u);
   EXPECT_EQ(manager.stats().quarantined_sessions, 0u);
@@ -900,7 +918,7 @@ TEST(SessionManager, QuarantineIsolatesCorruptStoreFromNeighbors) {
   std::vector<Pair> good_stream;
   DrainSession(&manager, good.id, &good_stream);
   EXPECT_EQ(good_stream, good_ref.stream);
-  ExpectStatsEqual(manager.session_stats(good.id), good_ref.stats);
+  test::ExpectStatsEqual(manager.session_stats(good.id), good_ref.stats);
   EXPECT_EQ(manager.health(good.id), serve::SessionHealth::kHealthy);
 }
 
