@@ -4,9 +4,12 @@
 // suspend-at-midpoint/resume run. The no-checkpoint row is the baseline; the
 // gap to each interval row is the cost of durability at that granularity.
 //
-// Expectation: snapshot cost is dominated by serializing the priority queue,
-// so overhead per checkpoint grows with queue size while the join itself is
-// flat in between — coarse intervals should be nearly free.
+// Expectation: snapshot cost grows with queue size (every checkpoint encodes,
+// checksums, writes and syncs the whole queue) while the join itself is flat
+// in between — coarse intervals should be nearly free. Each row's metrics
+// block splits the cursor's cost into snapshot_encode, snapshot_commit (with
+// its two snapshot_sync calls), and, for the resume row, snapshot_read and
+// restore (DESIGN.md §12).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -15,6 +18,7 @@
 #include "bench_common.h"
 #include "core/distance_join.h"
 #include "core/join_cursor.h"
+#include "obs/metrics.h"
 #include "util/stop_token.h"
 
 namespace sdj::bench {
@@ -31,11 +35,13 @@ void RunCheckpointed(benchmark::State& state, uint64_t pairs,
   for (auto _ : state) {
     ColdCaches();
     std::remove(SnapshotPath().c_str());
+    obs::Metrics metrics;
     WallTimer timer;
     DistanceJoin<2> join(WaterTree(), RoadsTree(), DistanceJoinOptions{});
     CursorOptions cursor_options;
     cursor_options.snapshot_path = SnapshotPath();
     cursor_options.checkpoint_every = checkpoint_every;
+    if (MetricsEnabled()) cursor_options.metrics = &metrics;
     JoinCursor<2, DistanceJoin<2>> cursor(&join, cursor_options);
     JoinResult<2> result;
     uint64_t produced = 0;
@@ -46,7 +52,7 @@ void RunCheckpointed(benchmark::State& state, uint64_t pairs,
         static_cast<double>(cursor.cursor_stats().checkpoints_written);
     AddRow({series, produced, seconds, join.stats(),
             "ckpts=" + std::to_string(cursor.cursor_stats().checkpoints_written),
-            1});
+            1, metrics.Summary()});
   }
   std::remove(SnapshotPath().c_str());
 }
@@ -58,6 +64,7 @@ void RunSuspendResume(benchmark::State& state, uint64_t pairs,
   for (auto _ : state) {
     ColdCaches();
     std::remove(SnapshotPath().c_str());
+    obs::Metrics metrics;
     WallTimer timer;
     uint64_t produced = 0;
     {
@@ -67,6 +74,7 @@ void RunSuspendResume(benchmark::State& state, uint64_t pairs,
       DistanceJoin<2> join(WaterTree(), RoadsTree(), options);
       CursorOptions cursor_options;
       cursor_options.snapshot_path = SnapshotPath();
+      if (MetricsEnabled()) cursor_options.metrics = &metrics;
       JoinCursor<2, DistanceJoin<2>> cursor(&join, cursor_options);
       JoinResult<2> result;
       while (produced < pairs / 2 && cursor.Next(&result)) ++produced;
@@ -78,6 +86,7 @@ void RunSuspendResume(benchmark::State& state, uint64_t pairs,
       DistanceJoin<2> join(WaterTree(), RoadsTree(), DistanceJoinOptions{});
       CursorOptions cursor_options;
       cursor_options.snapshot_path = SnapshotPath();
+      if (MetricsEnabled()) cursor_options.metrics = &metrics;
       JoinCursor<2, DistanceJoin<2>> cursor(&join, cursor_options);
       const bool resumed = cursor.ResumeLatest();
       JoinResult<2> result;
@@ -88,7 +97,8 @@ void RunSuspendResume(benchmark::State& state, uint64_t pairs,
     }
     const double seconds = timer.Seconds();
     state.SetIterationTime(seconds);
-    AddRow({series, produced, seconds, stats, "suspend@50%+resume", 1});
+    AddRow({series, produced, seconds, stats, "suspend@50%+resume", 1,
+            metrics.Summary()});
   }
   std::remove(SnapshotPath().c_str());
 }

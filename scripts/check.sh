@@ -75,6 +75,15 @@ run_release() {
     --time-tolerance="${SDJ_BENCH_TIME_TOLERANCE:-0.60}" \
     --io-tolerance="${SDJ_BENCH_IO_TOLERANCE:-0.10}" \
     --show-phases
+  # Checkpoint-cost gate (DESIGN.md §11): the durable-cursor sweep at the
+  # Table 1 tolerances. Every row but NoCheckpoint is dominated by snapshot
+  # encode, checksum, page writes and syncs, so a slower durable path shows
+  # up as a pairs/sec drop; --show-phases prints the split.
+  python3 scripts/compare_bench.py \
+    bench/baselines/BENCH_checkpoint.json build/BENCH_checkpoint.json \
+    --time-tolerance="${SDJ_BENCH_TIME_TOLERANCE:-0.60}" \
+    --io-tolerance="${SDJ_BENCH_IO_TOLERANCE:-0.10}" \
+    --show-phases
   # Kernel-throughput gate. Pure CPU work, so node_io is always 0 and only
   # pairs/sec gates; the tolerance stays loose because microbench wall clock
   # shares the machine with the build. compare_bench.py refuses the

@@ -158,6 +158,23 @@ def main():
         check("shards-default-is-one", run(tool, base, cur), 0)
         write(base, {"scale": 1.0, "rows": make_rows()})
 
+        # --show-phases prints the current run's phases only, so a baseline
+        # recorded before an Op existed still compares (new phases appear
+        # on the current side without a baseline counterpart).
+        old_phases = make_rows()
+        old_phases[0]["metrics"] = {
+            "checkpoint": {"count": 2, "total_ms": 9.0, "p50_us": 4.0,
+                           "p95_us": 5.0, "p99_us": 5.0, "max_us": 5.0}}
+        new_phases = make_rows()
+        new_phases[0]["metrics"] = dict(
+            old_phases[0]["metrics"],
+            snapshot_encode={"count": 2, "total_ms": 1.0, "p50_us": 0.5,
+                             "p95_us": 0.6, "p99_us": 0.6, "max_us": 0.6})
+        write(base, {"scale": 1.0, "rows": old_phases})
+        write(cur, {"scale": 1.0, "rows": new_phases})
+        check("phases-new-op", run(tool, base, cur, "--show-phases"), 0)
+        write(base, {"scale": 1.0, "rows": make_rows()})
+
         write(cur, {"scale": 1.0, "rows": make_rows()})
         check("unknown-flag", run(tool, base, cur, "--bogus"), 2)
         check("missing-file", run(tool, base, os.path.join(tmp, "nope")), 2)

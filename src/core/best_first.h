@@ -567,10 +567,12 @@ class BestFirstEngine {
 
   // Serializes the core state — sequence counter, status, statistics, queue
   // tier frontier and every live entry. The engine writes its config
-  // fingerprint and policy scalars around this. Returns false if the queue
-  // entries cannot all be read (an unreadable hybrid disk page); `out` must
-  // then be discarded.
-  bool SaveCore(snapshot::Blob* out) {
+  // fingerprint and policy scalars around this; `tail_bytes` is how much it
+  // appends afterwards, reserved here with the entries so a multi-megabyte
+  // snapshot is never reallocated and copied to grow. Returns false if the
+  // queue entries cannot all be read (an unreadable hybrid disk page); `out`
+  // must then be discarded.
+  bool SaveCore(snapshot::Blob* out, size_t tail_bytes = 0) {
     stats();  // fold pool- and queue-derived counters into stats_
     out->PutU64(next_seq_);
     out->PutU8(static_cast<uint8_t>(status_));
@@ -579,9 +581,12 @@ class BestFirstEngine {
       out->PutU64(stats_.*f.member);
     }
     // Queue: frontier first, so restore classifies pushes into the same
-    // tiers, then every live entry (order-free — the comparator is total).
+    // tiers, then every live entry (order-free — the comparator is total)
+    // as one fixed-width record each.
     out->PutU64(queue_->TierFrontier());
     out->PutU64(queue_->Size());
+    out->Reserve(out->size() +
+                 queue_->Size() * snapshot::EntryWireSize<Dim>() + tail_bytes);
     return queue_->ForEach(
         [out](const Entry& e) { snapshot::WriteEntry(out, e); });
   }

@@ -335,18 +335,23 @@ class DistanceJoin
     out->PutU64(reported_count_);
     out->PutU64(replay_);
     out->PutBool(estimation_disabled_);
-    if (!this->SaveCore(out)) return false;
-    out->PutBool(estimator_.has_value());
-    if (estimator_.has_value()) estimator_->SaveTo(out);
-    out->PutU64(reported_.size());
-    out->PutU64(reported_.WordCount());
+    // The policy tail follows the core section on the wire; it is encoded
+    // first so SaveCore can reserve room for it too, and the snapshot is
+    // built in one allocation.
+    snapshot::Blob tail;
+    tail.PutBool(estimator_.has_value());
+    if (estimator_.has_value()) estimator_->SaveTo(&tail);
+    tail.PutU64(reported_.size());
+    tail.PutU64(reported_.WordCount());
     for (size_t i = 0; i < reported_.WordCount(); ++i) {
-      out->PutU64(reported_.Word(i));
+      tail.PutU64(reported_.Word(i));
     }
-    out->PutU64(node_bounds_.size());
-    for (const double b : node_bounds_) out->PutDouble(b);
-    out->PutU64(object_bounds_.size());
-    for (const double b : object_bounds_) out->PutDouble(b);
+    tail.PutU64(node_bounds_.size());
+    for (const double b : node_bounds_) tail.PutDouble(b);
+    tail.PutU64(object_bounds_.size());
+    for (const double b : object_bounds_) tail.PutDouble(b);
+    if (!this->SaveCore(out, tail.size())) return false;
+    out->Append(tail);
     return true;
   }
 

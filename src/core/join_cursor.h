@@ -146,10 +146,12 @@ class JoinCursor {
     obs::PhaseTimer timer(options_.metrics, obs::Op::kCheckpoint);
     since_checkpoint_ = 0;
     snapshot::Blob blob;
+    obs::PhaseTimer encode(options_.metrics, obs::Op::kSnapshotEncode);
     if (store_ == nullptr || !engine_->SaveState(&blob)) {
       ++cursor_stats_.checkpoint_failures;
       return false;
     }
+    encode.Stop();
     for (uint32_t attempt = 1;; ++attempt) {
       if (store_->WriteSnapshot(blob)) {
         ++cursor_stats_.checkpoints_written;

@@ -14,7 +14,7 @@
 //     S + S*i + (e % S), so consecutive snapshots interleave and the file
 //     stops growing once the payload size stabilizes. A snapshot commits by
 //     (1) writing + syncing the payload pages and (2) writing + syncing the
-//     slot header, which carries the payload's length and FNV-1a checksum.
+//     slot header, which carries the payload's length and xxHash64 checksum.
 //     A torn write or bit flip anywhere — caught by the per-page checksum
 //     trailer or by the payload checksum — invalidates only that slot;
 //     ReadLatest then falls back past every invalid slot to the newest
@@ -59,6 +59,8 @@ class Blob {
     data_.insert(data_.end(), p, p + n);
   }
   void Append(const Blob& other) { PutBytes(other.data(), other.size()); }
+  // Grows capacity to at least `n` bytes in total (no effect on contents).
+  void Reserve(size_t n) { data_.reserve(n); }
 
   const char* data() const { return data_.data(); }
   size_t size() const { return data_.size(); }
@@ -138,55 +140,93 @@ class BlobReader {
 };
 
 // ---- PairEntry serialization (the queue's wire format) ----
+//
+// One entry is a fixed-width record: key, distance, item1, item2, seq,
+// category, depth, where an item is its lo coords, hi coords, ref, level and
+// kind — every field at a fixed offset, in memory byte order, unpadded.
+// WriteEntry packs the record on the stack and appends it with one call;
+// ReadEntry consumes it with one call and decodes at the same offsets.
 
+// Serialized size of one JoinItem / PairEntry (also the GetCount
+// plausibility bound for entry counts).
 template <int Dim>
-void WriteItem(Blob* out, const JoinItem<Dim>& item) {
-  out->PutBytes(item.rect.lo.coords.data(), 8 * Dim);
-  out->PutBytes(item.rect.hi.coords.data(), 8 * Dim);
-  out->PutU64(item.ref);
-  out->PutI16(item.level);
-  out->PutU8(static_cast<uint8_t>(item.kind));
+constexpr size_t ItemWireSize() {
+  return 16 * Dim + 8 + 2 + 1;
+}
+template <int Dim>
+constexpr size_t EntryWireSize() {
+  return 2 * 8 + 2 * ItemWireSize<Dim>() + 8 + 1 + 2;
+}
+
+namespace internal_wire {
+
+template <typename T>
+char* Pack(char* dst, const T& v) {
+  std::memcpy(dst, &v, sizeof(T));
+  return dst + sizeof(T);
+}
+
+template <typename T>
+const char* Unpack(const char* src, T* v) {
+  std::memcpy(v, src, sizeof(T));
+  return src + sizeof(T);
 }
 
 template <int Dim>
-bool ReadItem(BlobReader* in, JoinItem<Dim>* item) {
-  in->GetBytes(item->rect.lo.coords.data(), 8 * Dim);
-  in->GetBytes(item->rect.hi.coords.data(), 8 * Dim);
-  item->ref = in->GetU64();
-  item->level = in->GetI16();
-  const uint8_t kind = in->GetU8();
-  if (kind > static_cast<uint8_t>(JoinItemKind::kObject)) return false;
+char* PackItem(char* dst, const JoinItem<Dim>& item) {
+  dst = Pack(dst, item.rect.lo.coords);
+  dst = Pack(dst, item.rect.hi.coords);
+  dst = Pack(dst, item.ref);
+  dst = Pack(dst, item.level);
+  return Pack(dst, static_cast<uint8_t>(item.kind));
+}
+
+// Null when the kind byte names no JoinItemKind.
+template <int Dim>
+const char* UnpackItem(const char* src, JoinItem<Dim>* item) {
+  src = Unpack(src, &item->rect.lo.coords);
+  src = Unpack(src, &item->rect.hi.coords);
+  src = Unpack(src, &item->ref);
+  src = Unpack(src, &item->level);
+  uint8_t kind;
+  src = Unpack(src, &kind);
+  if (kind > static_cast<uint8_t>(JoinItemKind::kObject)) return nullptr;
   item->kind = static_cast<JoinItemKind>(kind);
-  return in->ok();
+  return src;
 }
+
+}  // namespace internal_wire
 
 template <int Dim>
 void WriteEntry(Blob* out, const PairEntry<Dim>& e) {
-  out->PutDouble(e.key);
-  out->PutDouble(e.distance);
-  WriteItem(out, e.item1);
-  WriteItem(out, e.item2);
-  out->PutU64(e.seq);
-  out->PutU8(e.category);
-  out->PutI16(e.depth);
+  using internal_wire::Pack;
+  char record[EntryWireSize<Dim>()];
+  char* p = Pack(record, e.key);
+  p = Pack(p, e.distance);
+  p = internal_wire::PackItem(p, e.item1);
+  p = internal_wire::PackItem(p, e.item2);
+  p = Pack(p, e.seq);
+  p = Pack(p, e.category);
+  p = Pack(p, e.depth);
+  SDJ_DCHECK(p == record + sizeof(record));
+  out->PutBytes(record, sizeof(record));
 }
 
 template <int Dim>
 bool ReadEntry(BlobReader* in, PairEntry<Dim>* e) {
-  e->key = in->GetDouble();
-  e->distance = in->GetDouble();
-  if (!ReadItem(in, &e->item1)) return false;
-  if (!ReadItem(in, &e->item2)) return false;
-  e->seq = in->GetU64();
-  e->category = in->GetU8();
-  e->depth = in->GetI16();
-  return in->ok();
-}
-
-// Serialized size of one PairEntry (for GetCount plausibility checks).
-template <int Dim>
-constexpr size_t EntryWireSize() {
-  return 2 * 8 + 2 * (16 * Dim + 8 + 2 + 1) + 8 + 1 + 2;
+  using internal_wire::Unpack;
+  char record[EntryWireSize<Dim>()];
+  if (!in->GetBytes(record, sizeof(record))) return false;
+  const char* p = Unpack(record, &e->key);
+  p = Unpack(p, &e->distance);
+  p = internal_wire::UnpackItem(p, &e->item1);
+  if (p == nullptr) return false;
+  p = internal_wire::UnpackItem(p, &e->item2);
+  if (p == nullptr) return false;
+  p = Unpack(p, &e->seq);
+  p = Unpack(p, &e->category);
+  Unpack(p, &e->depth);
+  return true;
 }
 
 // ---- SnapshotStore ----
@@ -205,7 +245,8 @@ struct SnapshotStoreOptions {
   // Bounded-retry policy for transient page faults.
   storage::RetryPolicy retry;
   // Optional observability sink (DESIGN.md §12): records the latency of
-  // each shadow-paged snapshot commit. Null = disabled.
+  // each shadow-paged snapshot commit, of its two file syncs, and of each
+  // verified snapshot read. Null = disabled.
   obs::Metrics* metrics = nullptr;
   // Header/payload slots (>= 2). S slots keep the S newest epochs on disk,
   // so resume survives up to S-1 consecutive torn or corrupt commits. Like
@@ -316,16 +357,15 @@ class SnapshotStore {
         return false;
       }
     }
-    if (file_->Sync() != storage::IoStatus::kOk) {
+    if (!Sync()) {
       ++stats_.write_failures;
       return false;
     }
     // Commit point: the slot header names the payload.
     std::memset(buffer.data(), 0, page_size_);
     PackHeader(buffer.data(), epoch, length,
-               storage::Fnv1a64(payload.data(), payload.size()));
-    if (!WriteWithRetry(slot, buffer.data()) ||
-        file_->Sync() != storage::IoStatus::kOk) {
+               storage::XxHash64(payload.data(), payload.size()));
+    if (!WriteWithRetry(slot, buffer.data()) || !Sync()) {
       ++stats_.write_failures;
       return false;
     }
@@ -339,6 +379,7 @@ class SnapshotStore {
   // is skipped — counted in invalid_slots_seen — and the newest surviving
   // slot is used instead. Returns false if no valid snapshot exists.
   bool ReadLatest(std::string* payload, uint64_t* epoch = nullptr) {
+    obs::PhaseTimer timer(metrics_, obs::Op::kSnapshotRead);
     std::string best_payload;
     uint64_t best_epoch = 0;
     bool found = false;
@@ -444,6 +485,7 @@ class SnapshotStore {
   bool ReadSlotPayload(uint32_t slot, std::string* payload,
                        uint64_t* epoch = nullptr) {
     if (slot >= num_slots_) return false;
+    obs::PhaseTimer timer(metrics_, obs::Op::kSnapshotRead);
     SlotReport report;
     if (ProbeSlot(slot, payload, &report,
                   /*consume_corrupt_at_open=*/false) != SlotState::kValid) {
@@ -484,7 +526,10 @@ class SnapshotStore {
 
  private:
   static constexpr uint64_t kMagic = 0x53444A534E415031ULL;  // "SDJSNAP1"
-  static constexpr uint32_t kVersion = 1;
+  // Version 2: page trailers and the payload checksum are xxHash64
+  // (storage/checksum.h). Files written under version 1 (FNV-1a) fail their
+  // page checksums and are refused like any other corrupt slot.
+  static constexpr uint32_t kVersion = 2;
   static constexpr size_t kHeaderBytes = 40;
 
   // kTorn = pages unreadable; kCorrupt = readable but inconsistent. Both
@@ -610,10 +655,16 @@ class SnapshotStore {
           std::min<size_t>(page_size_, report->length - offset);
       std::memcpy(payload->data() + offset, buffer.data(), chunk);
     }
-    if (storage::Fnv1a64(payload->data(), payload->size()) != checksum) {
+    if (storage::XxHash64(payload->data(), payload->size()) != checksum) {
       return SlotState::kCorrupt;
     }
     return SlotState::kValid;
+  }
+
+  // One commit-path file sync (two per WriteSnapshot).
+  bool Sync() {
+    obs::PhaseTimer timer(metrics_, obs::Op::kSnapshotSync);
+    return file_->Sync() == storage::IoStatus::kOk;
   }
 
   bool ReadWithRetry(storage::PageId id, char* buffer) {

@@ -39,12 +39,15 @@ enum class Op : uint8_t {
   kSnapshotCommit,  // snapshot store: shadow-paged WriteSnapshot
   kPageRead,        // buffer pool: physical page read (incl. retries)
   kPageWrite,       // buffer pool: physical page write (incl. retries)
-  kPageSync,        // buffer pool / snapshot store: file sync
+  kPageSync,        // buffer pool: file sync
   kServeSlice,      // session manager: one Next() slice of one session
   kSessionEvict,    // session manager: checkpoint + drop a session's engine
   kSessionRehydrate,  // session manager: rebuild + restore an evicted session
+  kSnapshotEncode,  // cursor: SaveState into the snapshot blob
+  kSnapshotSync,    // snapshot store: one of the two syncs of a commit
+  kSnapshotRead,    // snapshot store: read + verify a snapshot (all probes)
 };
-inline constexpr int kNumOps = 13;
+inline constexpr int kNumOps = 16;
 
 inline const char* OpName(Op op) {
   switch (op) {
@@ -61,6 +64,9 @@ inline const char* OpName(Op op) {
     case Op::kServeSlice:     return "serve_slice";
     case Op::kSessionEvict:   return "session_evict";
     case Op::kSessionRehydrate: return "session_rehydrate";
+    case Op::kSnapshotEncode: return "snapshot_encode";
+    case Op::kSnapshotSync:   return "snapshot_sync";
+    case Op::kSnapshotRead:   return "snapshot_read";
   }
   return "unknown";
 }

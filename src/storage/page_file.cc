@@ -135,7 +135,7 @@ class ChecksummingPageFile final : public PageFile {
       : PageFile(inner->page_size() - kPageTrailerSize),
         inner_(std::move(inner)),
         scratch_(inner_->page_size(), '\0'),
-        zero_checksum_(Fnv1a64(scratch_.data(), page_size_)) {}
+        zero_checksum_(XxHash64(scratch_.data(), page_size_)) {}
 
   PageId num_pages() const override { return inner_->num_pages(); }
 
@@ -147,7 +147,7 @@ class ChecksummingPageFile final : public PageFile {
     if (status != IoStatus::kOk) return status;
     uint64_t stored = 0;
     std::memcpy(&stored, scratch_.data() + page_size_, sizeof(stored));
-    const uint64_t actual = Fnv1a64(scratch_.data(), page_size_);
+    const uint64_t actual = XxHash64(scratch_.data(), page_size_);
     // A zero trailer marks a page that was allocated but never written; it is
     // valid only while the payload is still all zeros.
     if (actual != stored && !(stored == 0 && actual == zero_checksum_)) {
@@ -161,7 +161,7 @@ class ChecksummingPageFile final : public PageFile {
   IoStatus Write(PageId id, const char* buffer) override {
     ++physical_writes_;
     std::memcpy(scratch_.data(), buffer, page_size_);
-    const uint64_t checksum = Fnv1a64(buffer, page_size_);
+    const uint64_t checksum = XxHash64(buffer, page_size_);
     std::memcpy(scratch_.data() + page_size_, &checksum, sizeof(checksum));
     return inner_->Write(id, scratch_.data());
   }

@@ -4,7 +4,7 @@
 // tests and experiments — it still produces exact logical/physical I/O counts)
 // and a POSIX file store (for datasets larger than memory and for the hybrid
 // priority queue's disk tier). Decorators compose over either backend:
-// NewChecksummingPageFile (per-page FNV-1a trailers, storage/checksum.h) and
+// NewChecksummingPageFile (per-page xxHash64 trailers, storage/checksum.h) and
 // NewFaultInjectingPageFile (storage/fault_injection.h). page_store.h
 // assembles the standard stack.
 #ifndef SDJOIN_STORAGE_PAGE_FILE_H_
@@ -95,7 +95,7 @@ std::unique_ptr<PageFile> OpenFilePageFile(const std::string& path,
 
 // Wraps `inner` with per-page checksum trailers: the returned store exposes
 // logical pages of inner->page_size() - kPageTrailerSize bytes, writes an
-// FNV-1a trailer on every physical write, and verifies it on every read
+// xxHash64 trailer on every physical write, and verifies it on every read
 // (checksum mismatch => IoStatus::kCorrupt). A page that was allocated but
 // never written reads back as zeros. `inner` must have page_size >
 // kPageTrailerSize.

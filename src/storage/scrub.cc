@@ -53,7 +53,7 @@ PageScrubReport ScrubPages(const std::string& path, uint32_t page_size) {
   report.torn_tail_bytes = size % physical;
 
   std::vector<char> buffer(physical);
-  const uint64_t zero_checksum = Fnv1a64(buffer.data(), page_size);
+  const uint64_t zero_checksum = XxHash64(buffer.data(), page_size);
   for (uint64_t page = 0; page < report.pages_scanned; ++page) {
     if (!ReadFull(fd, buffer.data(), physical,
                   static_cast<off_t>(page * physical))) {
@@ -62,7 +62,7 @@ PageScrubReport ScrubPages(const std::string& path, uint32_t page_size) {
     }
     uint64_t stored = 0;
     std::memcpy(&stored, buffer.data() + page_size, sizeof(stored));
-    const uint64_t actual = Fnv1a64(buffer.data(), page_size);
+    const uint64_t actual = XxHash64(buffer.data(), page_size);
     // Same rule as ChecksummingPageFile::Read: a zero trailer marks an
     // allocated-but-never-written page and is valid only while the payload
     // is still all zeros.

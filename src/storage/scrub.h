@@ -1,7 +1,7 @@
 // Offline integrity scrub and repair for page-store files (DESIGN.md §16).
 //
 // A scrub inspects a file written through the page_store.h stack without
-// mutating it: every physical page's FNV-1a trailer is verified (the same
+// mutating it: every physical page's xxHash64 trailer is verified (the same
 // rule ChecksummingPageFile applies on reads — a zero trailer is valid only
 // for an all-zero payload), and a torn final partial page (a crash
 // mid-append) is detected from the file size. Findings are reported and

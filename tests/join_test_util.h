@@ -1,10 +1,12 @@
 // Shared helpers for the join/semi-join test suites: tree construction from
-// point sets, brute-force reference results, and the one JoinStats
-// comparator.
+// point sets, brute-force reference results, the one JoinStats comparator,
+// and a reference hash for pinning serialized bytes.
 #ifndef SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 #define SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <iterator>
 #include <limits>
@@ -119,6 +121,20 @@ inline void ExpectStatsEqual(const JoinStats& a, const JoinStats& b,
     }
     EXPECT_EQ(a.*f.member, b.*f.member) << "JoinStats::" << f.name;
   }
+}
+
+// 64-bit FNV-1a, a byte-serial hash kept only as an independent reference:
+// tests/snapshot_format_test.cc pins SaveState bytes by their FNV-1a, so a
+// change to the library's own checksum (storage/checksum.h) cannot re-pin
+// the wire format by accident.
+inline uint64_t Fnv1a64(const void* data, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < n; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 }  // namespace sdj::test

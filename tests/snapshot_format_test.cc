@@ -7,8 +7,11 @@
 // change to a fingerprint, the stats section or an engine's body bytes fails
 // here. A second table-driven test checks that every framing refuses a
 // snapshot whose fingerprint differs in one field, and junk input, without
-// disturbing the restoring engine.
+// disturbing the restoring engine. A third test holds the packed queue-entry
+// record (snapshot::WriteEntry) to a field-by-field reference encoder.
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,7 +28,6 @@
 #include "join_test_util.h"
 #include "nn/inc_nearest.h"
 #include "rtree/rtree.h"
-#include "storage/checksum.h"
 
 namespace sdj {
 namespace {
@@ -133,7 +135,7 @@ void CheckWireBytes(const Framing<Engine>& f) {
   auto engine = f.make();
   const std::string bytes = SaveAfterPrefix(engine.get(), f.prefix);
   EXPECT_EQ(bytes.size(), f.pinned_size);
-  EXPECT_EQ(storage::Fnv1a64(bytes.data(), bytes.size()), f.pinned_fnv);
+  EXPECT_EQ(test::Fnv1a64(bytes.data(), bytes.size()), f.pinned_fnv);
   // The pinned bytes restore into a fresh engine. Queue entries are saved
   // in heap order, not pop order, so only the re-saved size must match.
   auto restored = f.make();
@@ -281,6 +283,140 @@ TEST(SnapshotWireFormat, ShardedFixtureActuallyShards) {
   EXPECT_EQ(sharded.effective_shards(), 2);
   ShardedDistanceJoin<2> passthrough(trees.a, trees.b, ShardedOptions(1));
   EXPECT_EQ(passthrough.effective_shards(), 1);
+}
+
+// The queue-entry wire format written one field at a time, as the encoder
+// did before entries were packed into one fixed-width record.
+template <int Dim>
+void ReferenceWriteItem(snapshot::Blob* out, const JoinItem<Dim>& item) {
+  out->PutBytes(item.rect.lo.coords.data(), 8 * Dim);
+  out->PutBytes(item.rect.hi.coords.data(), 8 * Dim);
+  out->PutU64(item.ref);
+  out->PutI16(item.level);
+  out->PutU8(static_cast<uint8_t>(item.kind));
+}
+
+template <int Dim>
+std::string ReferenceWriteEntry(const PairEntry<Dim>& e) {
+  snapshot::Blob out;
+  out.PutDouble(e.key);
+  out.PutDouble(e.distance);
+  ReferenceWriteItem(&out, e.item1);
+  ReferenceWriteItem(&out, e.item2);
+  out.PutU64(e.seq);
+  out.PutU8(e.category);
+  out.PutI16(e.depth);
+  return std::string(out.data(), out.size());
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+template <int Dim>
+void ExpectSameItem(const JoinItem<Dim>& a, const JoinItem<Dim>& b) {
+  for (int d = 0; d < Dim; ++d) {
+    EXPECT_TRUE(SameBits(a.rect.lo.coords[d], b.rect.lo.coords[d])) << d;
+    EXPECT_TRUE(SameBits(a.rect.hi.coords[d], b.rect.hi.coords[d])) << d;
+  }
+  EXPECT_EQ(a.ref, b.ref);
+  EXPECT_EQ(a.level, b.level);
+  EXPECT_EQ(a.kind, b.kind);
+}
+
+// Entries covering -0.0, every item kind, a negative depth, and the
+// extremes of each integer field.
+template <int Dim>
+std::vector<PairEntry<Dim>> WireEntries() {
+  std::vector<PairEntry<Dim>> entries;
+  PairEntry<Dim> e;
+  for (int d = 0; d < Dim; ++d) {
+    e.item1.rect.lo.coords[d] = -0.0;
+    e.item1.rect.hi.coords[d] = 10.25 * (d + 1);
+    e.item2.rect.lo.coords[d] = -3.5 - d;
+    e.item2.rect.hi.coords[d] = -3.5 - d;
+  }
+  e.key = -0.0;
+  e.distance = 0.0;
+  e.item1.ref = 11;
+  e.item1.level = 2;
+  e.item1.kind = JoinItemKind::kNode;
+  e.item2.ref = 7;
+  e.item2.level = -1;
+  e.item2.kind = JoinItemKind::kObject;
+  e.seq = 99;
+  e.category = 2;
+  e.depth = 2;
+  entries.push_back(e);
+
+  e.key = -123.75;  // reverse mode: negated upper bound
+  e.distance = 1e-300;
+  e.item1.ref = ~uint64_t{0};
+  e.item1.level = -1;
+  e.item1.kind = JoinItemKind::kObjectRect;
+  e.seq = ~uint64_t{0} - 1;
+  e.category = 1;
+  e.depth = -1;
+  entries.push_back(e);
+
+  e.key = std::nextafter(0.0, 1.0);
+  e.distance = -0.0;
+  e.item1.kind = JoinItemKind::kObject;
+  e.item2.ref = 0;
+  e.item2.level = INT16_MAX;
+  e.item2.kind = JoinItemKind::kNode;
+  e.category = 0;
+  e.depth = INT16_MIN;
+  entries.push_back(e);
+  return entries;
+}
+
+template <int Dim>
+void CheckPackedEntries() {
+  SCOPED_TRACE(Dim);
+  snapshot::Blob packed;
+  std::string reference;
+  for (const PairEntry<Dim>& e : WireEntries<Dim>()) {
+    snapshot::Blob one;
+    snapshot::WriteEntry(&one, e);
+    EXPECT_EQ(std::string(one.data(), one.size()), ReferenceWriteEntry(e));
+    EXPECT_EQ(one.size(), snapshot::EntryWireSize<Dim>());
+    snapshot::WriteEntry(&packed, e);
+    reference += ReferenceWriteEntry(e);
+  }
+  ASSERT_EQ(std::string(packed.data(), packed.size()), reference);
+
+  snapshot::BlobReader in(packed.data(), packed.size());
+  for (const PairEntry<Dim>& e : WireEntries<Dim>()) {
+    PairEntry<Dim> back;
+    ASSERT_TRUE(snapshot::ReadEntry(&in, &back));
+    EXPECT_TRUE(SameBits(back.key, e.key));
+    EXPECT_TRUE(SameBits(back.distance, e.distance));
+    ExpectSameItem(back.item1, e.item1);
+    ExpectSameItem(back.item2, e.item2);
+    EXPECT_EQ(back.seq, e.seq);
+    EXPECT_EQ(back.category, e.category);
+    EXPECT_EQ(back.depth, e.depth);
+  }
+  EXPECT_EQ(in.remaining(), 0u);
+  PairEntry<Dim> past_end;
+  EXPECT_FALSE(snapshot::ReadEntry(&in, &past_end));
+
+  // A kind byte naming no JoinItemKind is refused, in either item.
+  for (const size_t item : {size_t{0}, size_t{1}}) {
+    std::string bad = ReferenceWriteEntry(WireEntries<Dim>()[0]);
+    const size_t kind_offset =
+        16 + (item + 1) * snapshot::ItemWireSize<Dim>() - 1;
+    bad[kind_offset] = 3;
+    snapshot::BlobReader bad_in(bad);
+    PairEntry<Dim> refused;
+    EXPECT_FALSE(snapshot::ReadEntry(&bad_in, &refused)) << item;
+  }
+}
+
+TEST(SnapshotWireFormat, PackedEntryMatchesFieldByFieldEncoder) {
+  CheckPackedEntries<2>();
+  CheckPackedEntries<3>();
 }
 
 }  // namespace
