@@ -1,9 +1,10 @@
 // The shared best-first engine core (DESIGN.md §13).
 //
 // Every traversal in this repository — the incremental distance join and
-// semi-join (Section 2.2/2.3), incremental nearest- and farthest-neighbor
-// search (the paper's reference [18] and Section 2.2.5), and the incremental
-// within-distance join — is the same algorithm: a priority queue of index
+// semi-join (Section 2.2/2.3; the within-distance join is the distance join
+// restricted to [0, eps]) and incremental nearest- and farthest-neighbor
+// search (the paper's reference [18] and Section 2.2.5) — is the same
+// algorithm: a priority queue of index
 // entries popped in key order, where popping an object(-pair) reports it and
 // popping a node(-pair) expands it. This class owns everything those engines
 // would otherwise duplicate:

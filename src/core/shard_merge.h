@@ -711,29 +711,17 @@ template <int Dim, typename Index = RTree<Dim>>
 using ShardedDistanceSemiJoin =
     DistanceSemiJoin<Dim, Index, ShardedDistanceJoin<Dim, Index>>;
 
-// Sharded incremental within-distance join. Every IncWithinJoin
-// configuration is eligible (fixed bound, no global mutable state); the
-// item2 scatter fallback applies when the root expansion descended the
-// second tree.
+// Sharded incremental within-distance join: the same option adapter as
+// IncWithinJoin, over ShardedDistanceJoin. An Even join with a fixed range
+// is always eligible, and the item2 scatter fallback applies when the root
+// expansion descended the second tree.
 template <int Dim, typename Index = RTree<Dim>>
-class ShardedWithinJoin
-    : public shard::ShardedEngine<Dim, IncWithinJoin<Dim, Index>,
-                                  JoinResult<Dim>> {
-  using BaseT =
-      shard::ShardedEngine<Dim, IncWithinJoin<Dim, Index>, JoinResult<Dim>>;
-
+class ShardedWithinJoin : public ShardedDistanceJoin<Dim, Index> {
  public:
   ShardedWithinJoin(const Index& tree1, const Index& tree2,
                     const WithinJoinOptions& options)
-      : BaseT({&tree1.pool(), &tree2.pool()}) {
-    this->BuildShards(options, /*eligible=*/true,
-                      /*allow_item2_fallback=*/true, /*descending=*/false,
-                      /*max_results=*/0, /*auto_resume=*/false,
-                      [&](const WithinJoinOptions& o) {
-                        return std::make_unique<IncWithinJoin<Dim, Index>>(
-                            tree1, tree2, o);
-                      });
-  }
+      : ShardedDistanceJoin<Dim, Index>(tree1, tree2,
+                                        AsDistanceJoinOptions(options)) {}
 };
 
 }  // namespace sdj

@@ -238,10 +238,13 @@ inline Metrics* PopSample(Metrics* metrics, uint64_t pop_seq) {
 
 // Scoped timer for one Op. With a null Metrics the constructor, Stop, and
 // destructor each cost exactly one pointer test — the disabled-overhead
-// contract of DESIGN.md §12.
+// contract of DESIGN.md §12. `also` (optional) receives the same histogram
+// sample but no trace event: the serving layer times one phase into a
+// session sink and the manager sink, which share one trace.
 class PhaseTimer {
  public:
-  PhaseTimer(Metrics* metrics, Op op) : metrics_(metrics), op_(op) {
+  PhaseTimer(Metrics* metrics, Op op, Metrics* also = nullptr)
+      : metrics_(metrics), also_(also), op_(op) {
     if (metrics_ != nullptr) start_ns_ = MonotonicNowNs();
   }
   ~PhaseTimer() { Stop(); }
@@ -254,6 +257,7 @@ class PhaseTimer {
     if (metrics_ == nullptr) return;
     const uint64_t duration_ns = MonotonicNowNs() - start_ns_;
     metrics_->hist(op_).Record(duration_ns);
+    if (also_ != nullptr) also_->hist(op_).Record(duration_ns);
     if (TraceSink* sink = metrics_->trace(); sink != nullptr) {
       sink->AddComplete(OpName(op_), start_ns_, duration_ns);
     }
@@ -262,6 +266,7 @@ class PhaseTimer {
 
  private:
   Metrics* metrics_;
+  Metrics* const also_;
   const Op op_;
   uint64_t start_ns_ = 0;
 };

@@ -63,15 +63,6 @@ class TraceSink {
     return dropped_;
   }
 
-  // Sum of all buffered event durations (for phase-coverage checks against
-  // wall time; nested events double-count, but sdjoin phases do not nest).
-  uint64_t TotalDurationNs() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const Event& e : events_) total += e.duration_ns;
-    return total;
-  }
-
   // Writes the buffered events as Chrome-trace JSON. Returns false if the
   // file could not be written.
   bool WriteJson(const std::string& path) const {

@@ -37,7 +37,8 @@
 // stage). Per-session latency/IO accounting: every session owns an
 // obs::Metrics sink receiving its serve slices, checkpoints, restores, and
 // snapshot commits; the manager-wide sink (ServeOptions::metrics) sees the
-// same serving events across all sessions.
+// same serving events across all sessions, and its trace (if any) also
+// receives every session's spans.
 #ifndef SDJOIN_SERVE_SESSION_MANAGER_H_
 #define SDJOIN_SERVE_SESSION_MANAGER_H_
 
@@ -177,7 +178,7 @@ struct ServeOptions {
   uint32_t heal_backoff_us = 0;
   // Manager-wide observability sink (serve slices, evictions, rehydrations
   // across all sessions). Null = disabled. Each session additionally owns a
-  // private sink regardless.
+  // private sink regardless, which records into this sink's trace.
   obs::Metrics* metrics = nullptr;
 };
 
@@ -263,7 +264,7 @@ class SessionManager {
     session->id = next_id_++;
     session->tag = tag;
     session->factory = std::move(factory);
-    session->metrics = std::make_unique<obs::Metrics>();
+    session->metrics = NewSessionMetrics();
     session->engine = session->factory(session->stop.token());
     if (session->engine == nullptr) {
       --next_id_;
@@ -305,8 +306,8 @@ class SessionManager {
     if (s->state == SessionState::kFinished) return ServeStatus::kExhausted;
     if (s->state == SessionState::kFailed) return ServeStatus::kIoError;
     s->last_used = ++clock_;
-    obs::PhaseTimer manager_timer(options_.metrics, obs::Op::kServeSlice);
-    obs::PhaseTimer session_timer(s->metrics.get(), obs::Op::kServeSlice);
+    obs::PhaseTimer timer(s->metrics.get(), obs::Op::kServeSlice,
+                          options_.metrics);
     if (s->state == SessionState::kEvicted && !Rehydrate(s)) {
       return ServeStatus::kIoError;
     }
@@ -410,7 +411,7 @@ class SessionManager {
       session->id = record.id;
       session->tag = record.tag;
       session->factory = std::move(factory);
-      session->metrics = std::make_unique<obs::Metrics>();
+      session->metrics = NewSessionMetrics();
       session->has_snapshot = record.has_snapshot;
       // Lazy: engine and cursor are built by Rehydrate() on first Next().
       session->state = SessionState::kEvicted;
@@ -526,6 +527,19 @@ class SessionManager {
     return options_.state_dir + "/session_" + std::to_string(id) + ".snap";
   }
 
+  // A session's private sink. It shares the manager sink's trace, so the
+  // cursor's checkpoint, snapshot and restore spans nest under the
+  // session_evict/session_rehydrate spans in one timeline. Serving phases
+  // are timed on this sink with the manager's as the `also` histogram, so
+  // each is traced once.
+  std::unique_ptr<obs::Metrics> NewSessionMetrics() const {
+    auto metrics = std::make_unique<obs::Metrics>();
+    if (options_.metrics != nullptr) {
+      metrics->set_trace(options_.metrics->trace());
+    }
+    return metrics;
+  }
+
   std::unique_ptr<JoinCursor<Dim, ErasedEngine<Dim>>> MakeCursor(Session* s) {
     CursorOptions cursor_options;
     cursor_options.snapshot_path = SnapshotPath(s->id);
@@ -566,8 +580,8 @@ class SessionManager {
   bool EvictSession(Session* s) {
     if (s->state != SessionState::kLive || s->engine == nullptr) return false;
     if (s->counters.pinned_resident) return false;
-    obs::PhaseTimer manager_timer(options_.metrics, obs::Op::kSessionEvict);
-    obs::PhaseTimer session_timer(s->metrics.get(), obs::Op::kSessionEvict);
+    obs::PhaseTimer timer(s->metrics.get(), obs::Op::kSessionEvict,
+                          options_.metrics);
     if (!CheckpointSession(s)) {
       // The budget cannot claim this memory without losing progress:
       // degrade to pinned-resident instead (cleared by a later successful
@@ -586,10 +600,8 @@ class SessionManager {
   }
 
   bool Rehydrate(Session* s) {
-    obs::PhaseTimer manager_timer(options_.metrics,
-                                  obs::Op::kSessionRehydrate);
-    obs::PhaseTimer session_timer(s->metrics.get(),
-                                  obs::Op::kSessionRehydrate);
+    obs::PhaseTimer timer(s->metrics.get(), obs::Op::kSessionRehydrate,
+                          options_.metrics);
     s->engine = s->factory(s->stop.token());
     if (s->engine == nullptr) {
       QuarantineSession(s);

@@ -275,6 +275,22 @@ TEST_F(CliTest, WithinJoinMatchesMaxDistanceRestrictedJoin) {
   EXPECT_EQ(pairs, PairLines(clamped.output));
 }
 
+// --within=E is the Even join with --max-distance=E: at one shard (no
+// merge, one engine either way) both print the same pairs and the same
+// cost counters.
+TEST_F(CliTest, WithinJoinIsTheMaxDistanceJoinAtOneShard) {
+  const RunResult within = RunCli(WithinArgs("--shards=1"));
+  ASSERT_EQ(within.exit_code, 0);
+  const RunResult clamped =
+      RunCli("join --a=" + a_csv_ + " --b=" + b_csv_ +
+             " --max-distance=3000 --print=100000 --shards=1");
+  ASSERT_EQ(clamped.exit_code, 0);
+  ASSERT_GT(PairLines(within.output).size(), 0u);
+  EXPECT_EQ(PairLines(within.output), PairLines(clamped.output));
+  ASSERT_FALSE(CostLine(within.output).empty());
+  EXPECT_EQ(CostLine(within.output), CostLine(clamped.output));
+}
+
 TEST_F(CliTest, WithinJoinSuspendResumeAcrossThreadCounts) {
   const RunResult reference = RunCli(WithinArgs(""));
   ASSERT_EQ(reference.exit_code, 0);
@@ -307,6 +323,12 @@ TEST_F(CliTest, WithinJoinRejectsIncompatibleShapingFlags) {
   EXPECT_EQ(RunCli(WithinArgs("--estimate")).exit_code, 1);
   EXPECT_EQ(RunCli(WithinArgs("--reverse")).exit_code, 1);
   EXPECT_EQ(RunCli(WithinArgs("--max-distance=5")).exit_code, 1);
+  EXPECT_EQ(RunCli(WithinArgs("--min-distance=5")).exit_code, 1);
+  EXPECT_EQ(RunCli(WithinArgs("--policy=basic")).exit_code, 1);
+  const RunResult negative = RunCli("join --a=" + a_csv_ + " --b=" + b_csv_ +
+                                    " --within=-1");
+  EXPECT_EQ(negative.exit_code, 1);
+  EXPECT_NE(negative.output.find("--within must be >= 0"), std::string::npos);
 }
 
 TEST_F(CliTest, SemiJoinSuspendResumeMatrix) {

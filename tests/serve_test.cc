@@ -29,6 +29,8 @@
 #include "data/generators.h"
 #include "join_test_util.h"
 #include "nn/inc_nearest.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rtree/rtree.h"
 #include "serve/erased_engine.h"
 #include "serve/session_manager.h"
@@ -317,6 +319,59 @@ TEST(SessionManager, ExplicitEvictRehydratesTransparently) {
   EXPECT_EQ(counters.evictions, 1u);
   EXPECT_EQ(counters.rehydrations, 1u);
   EXPECT_GE(counters.cursor.checkpoints_written, 1u);
+}
+
+// Session sinks share the manager's trace: a traced eviction records the
+// cursor's checkpoint and snapshot spans, not one opaque session_evict.
+TEST(SessionManager, TracedEvictionRecordsSnapshotSpans) {
+  const auto a = MakePoints(70, 11);
+  const auto b = MakePoints(70, 12);
+  WithinJoinOptions within_options;
+  within_options.epsilon = 120.0;
+  obs::TraceSink sink;
+  obs::Metrics metrics;
+  metrics.set_trace(&sink);
+  // In-memory snapshot stores: no session table, whose own commits would
+  // put snapshot spans in the trace without any session's help.
+  serve::ServeOptions options;
+  options.metrics = &metrics;
+  serve::SessionManager<2> manager(options);
+  const auto admit =
+      manager.Admit("traced", WithinFactory(a, b, within_options));
+  ASSERT_EQ(admit.status, ServeStatus::kOk);
+  JoinResult<2> r;
+  ASSERT_EQ(manager.Next(admit.id, &r), ServeStatus::kOk);
+  ASSERT_TRUE(manager.Evict(admit.id));
+
+  const std::string path = TempPath("serve_traced_evict.json");
+  ASSERT_TRUE(sink.WriteJson(path));
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::string json;
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    json.append(buffer, n);
+  }
+  std::fclose(f);
+  for (const char* span : {"session_evict", "checkpoint", "snapshot_encode",
+                           "snapshot_commit", "snapshot_sync"}) {
+    EXPECT_NE(json.find(std::string("\"name\": \"") + span + "\""),
+              std::string::npos)
+        << span;
+  }
+  // The two sinks share one trace, so each serving phase is traced once.
+  const std::string evict_event = "\"name\": \"session_evict\"";
+  const size_t first = json.find(evict_event);
+  EXPECT_EQ(json.find(evict_event, first + 1), std::string::npos);
+  EXPECT_EQ(metrics.hist(obs::Op::kSessionEvict).count(), 1u);
+  EXPECT_EQ(
+      manager.session_metrics(admit.id)->hist(obs::Op::kSessionEvict).count(),
+      1u);
+  // The session's own histograms still see its checkpoint.
+  EXPECT_GE(
+      manager.session_metrics(admit.id)->hist(obs::Op::kSnapshotSync).count(),
+      2u);
 }
 
 TEST(SessionManager, MemoryPressureEvictsColdestSessions) {

@@ -1,6 +1,7 @@
-// Snapshot wire-format pins for the five SaveState framings (DESIGN.md §11):
-// DistanceJoin, DistanceSemiJoin, IncWithinJoin, NeighborEngine (through
-// IncNearestNeighbor) and ShardedEngine (through ShardedDistanceJoin).
+// Snapshot wire-format pins for the SaveState framings (DESIGN.md §11):
+// DistanceJoin, DistanceSemiJoin, NeighborEngine (through
+// IncNearestNeighbor) and ShardedEngine (through ShardedDistanceJoin), plus
+// IncWithinJoin, whose bytes are DistanceJoin's for the restricted range.
 //
 // Each framing saves a fixed small input after a fixed prefix with one
 // classify thread; the blob's size and FNV-1a-64 are pinned below, so any
@@ -147,44 +148,48 @@ void CheckWireBytes(const Framing<Engine>& f) {
 }
 
 template <typename Engine>
+typename Engine::Result FirstResult(Engine* engine) {
+  typename Engine::Result r;
+  EXPECT_TRUE(engine->Next(&r));
+  return r;
+}
+
+// A refused restore must leave the engine exactly as constructed: still
+// kOk and producing the same first result as a fresh engine.
+template <typename Engine>
+void ExpectRefusedUntouched(
+    const std::function<std::unique_ptr<Engine>()>& make,
+    const std::string& input, const char* what) {
+  SCOPED_TRACE(what);
+  auto engine = make();
+  snapshot::BlobReader in(input);
+  EXPECT_FALSE(engine->RestoreState(&in));
+  EXPECT_EQ(engine->status(), JoinStatus::kOk);
+  auto fresh = make();
+  ExpectSameResult(FirstResult(engine.get()), FirstResult(fresh.get()));
+}
+
+template <typename Engine>
 void CheckRefusals(const Framing<Engine>& f) {
   SCOPED_TRACE(f.name);
   auto saved = f.make();
   const std::string bytes = SaveAfterPrefix(saved.get(), f.prefix);
   ASSERT_FALSE(bytes.empty());
 
-  const auto first_result = [](Engine* e) {
-    typename Engine::Result r;
-    EXPECT_TRUE(e->Next(&r));
-    return r;
-  };
-  // A refused restore must leave the engine exactly as constructed: still
-  // kOk and producing the same first result as a fresh engine.
-  const auto expect_untouched = [&](const std::function<
-                                        std::unique_ptr<Engine>()>& make,
-                                    const std::string& input,
-                                    const char* what) {
-    SCOPED_TRACE(what);
-    auto engine = make();
-    snapshot::BlobReader in(input);
-    EXPECT_FALSE(engine->RestoreState(&in));
-    EXPECT_EQ(engine->status(), JoinStatus::kOk);
-    auto fresh = make();
-    ExpectSameResult(first_result(engine.get()), first_result(fresh.get()));
-  };
-
-  expect_untouched(f.make_changed, bytes, "one fingerprint field changed");
-  expect_untouched(f.make, std::string(), "empty input");
-  expect_untouched(f.make, std::string("\x01\x02\x03\x04\x05\x06\x07", 7),
-                   "seven junk bytes");
+  ExpectRefusedUntouched(f.make_changed, bytes,
+                         "one fingerprint field changed");
+  ExpectRefusedUntouched(f.make, std::string(), "empty input");
+  ExpectRefusedUntouched(f.make,
+                         std::string("\x01\x02\x03\x04\x05\x06\x07", 7),
+                         "seven junk bytes");
   std::string flipped = bytes;
   flipped[0] = static_cast<char>(flipped[0] ^ 0x5A);
-  expect_untouched(f.make, flipped, "corrupted magic");
+  ExpectRefusedUntouched(f.make, flipped, "corrupted magic");
   std::string junk(256, '\0');
   for (size_t i = 0; i < junk.size(); ++i) {
     junk[i] = static_cast<char>((i * 131 + 17) & 0xFF);
   }
-  expect_untouched(f.make, junk, "256 junk bytes");
+  ExpectRefusedUntouched(f.make, junk, "256 junk bytes");
 }
 
 Framing<DistanceJoin<2>> JoinFraming() {
@@ -228,7 +233,9 @@ Framing<IncWithinJoin<2>> WithinFraming() {
             return std::make_unique<IncWithinJoin<2>>(trees->a, trees->b,
                                                       WithinOptions(61.0));
           },
-          7142, 5817129699521834768ULL};
+          // DistanceJoin's "SJJC" framing for [0, 60] (see
+          // WithinBytesAreTheRestrictedDistanceJoins).
+          7218, 9210598835286181393ULL};
 }
 
 Framing<IncNearestNeighbor<2>> NeighborFraming() {
@@ -275,6 +282,46 @@ TEST(SnapshotWireFormat, FingerprintMismatchAndJunkAreRefusedUntouched) {
   CheckRefusals(WithinFraming());
   CheckRefusals(NeighborFraming());
   CheckRefusals(ShardedFraming());
+}
+
+// IncWithinJoin is DistanceJoin{Even, [0, eps]}: the within framing's
+// bytes are exactly that join's, fingerprint included.
+TEST(SnapshotWireFormat, WithinBytesAreTheRestrictedDistanceJoins) {
+  const Framing<IncWithinJoin<2>> within = WithinFraming();
+  const std::string within_bytes =
+      SaveAfterPrefix(within.make().get(), within.prefix);
+  const Trees trees;  // fresh pools, like the framing's own
+  DistanceJoinOptions options;
+  options.num_threads = 1;
+  options.shards = 1;
+  options.screen_codes = true;
+  options.node_policy = NodeProcessingPolicy::kEven;
+  options.max_distance = 60.0;
+  DistanceJoin<2> join(trees.a, trees.b, options);
+  EXPECT_EQ(SaveAfterPrefix(&join, within.prefix), within_bytes);
+}
+
+// Snapshots of the retired within policy (magic "SJWE", version 2) open
+// with a fingerprint no engine writes any more, so they are refused.
+TEST(SnapshotWireFormat, RetiredWithinSnapshotIsRefusedUntouched) {
+  const Framing<IncWithinJoin<2>> within = WithinFraming();
+  const std::string current =
+      SaveAfterPrefix(within.make().get(), within.prefix);
+  snapshot::Blob old;
+  old.PutU32(0x534A5745);  // "SJWE"
+  old.PutU32(2);
+  old.PutU32(2);  // Dim
+  old.PutU8(static_cast<uint8_t>(Metric::kEuclidean));
+  old.PutU8(static_cast<uint8_t>(TieBreakPolicy::kDepthFirst));
+  old.PutDouble(60.0);
+  old.PutBool(true);   // screen_codes
+  old.PutBool(false);  // use_hybrid_queue
+  old.PutDouble(HybridQueueOptions{}.tier_width);
+  old.PutU64(90);
+  old.PutU64(70);
+  std::string bytes(old.data(), old.size());
+  bytes += current;  // a plausible body behind the retired fingerprint
+  ExpectRefusedUntouched(within.make, bytes, "SJWE version 2");
 }
 
 TEST(SnapshotWireFormat, ShardedFixtureActuallyShards) {

@@ -1,11 +1,14 @@
 // Incremental within-distance join (core/within_join.h): randomized
 // cross-validation against the synchronized-traversal baseline
-// (baseline/within_join.h) and against DistanceJoin restricted to [0, eps],
-// plus the cross-cutting behavior it inherits from the best-first core —
+// (baseline/within_join.h) on raw and quantized pages, with and without
+// exact distance ties; snapshot interchange with the DistanceJoin it
+// adapts; and the cross-cutting behavior of the best-first core —
 // serial/parallel/hybrid stream identity, suspend/resume, snapshots.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,56 +64,120 @@ void ExpectSameStream(const std::vector<JoinResult<2>>& a,
   }
 }
 
+// Points snapped to the unit lattice: coincident points and many pairs at
+// exactly equal distances, including pairs at exactly eps.
+std::vector<Point<2>> Lattice(std::vector<Point<2>> points) {
+  for (Point<2>& p : points) {
+    p[0] = std::floor(p[0]);
+    p[1] = std::floor(p[1]);
+  }
+  return points;
+}
+
 TEST(IncWithinJoin, MatchesBaselineOnRandomizedWorkloads) {
-  for (const uint32_t seed : {101u, 202u, 303u}) {
-    for (const double eps : {0.5, 2.0, 8.0}) {
-      for (const Metric metric :
-           {Metric::kEuclidean, Metric::kManhattan, Metric::kChessboard}) {
-        const auto pa =
-            data::GenerateUniform(400, Rect<2>({0, 0}, {100, 100}), seed);
-        const auto pb =
+  for (const NodeEncoding encoding :
+       {NodeEncoding::kRaw, NodeEncoding::kQuantized}) {
+    for (const bool ties : {false, true}) {
+      for (const uint32_t seed : {101u, 202u, 303u}) {
+        auto pa = data::GenerateUniform(400, Rect<2>({0, 0}, {100, 100}), seed);
+        auto pb =
             data::GenerateUniform(400, Rect<2>({0, 0}, {100, 100}), seed + 7);
-        RTree<2> tree1 = test::BuildPointTree(pa);
-        RTree<2> tree2 = test::BuildPointTree(pb);
+        if (ties) {
+          pa = Lattice(std::move(pa));
+          pb = Lattice(std::move(pb));
+        }
+        RTree<2> tree1 = test::BuildPointTree(pa, 512, /*bulk=*/true, encoding);
+        RTree<2> tree2 = test::BuildPointTree(pb, 512, /*bulk=*/true, encoding);
+        for (const double eps : {0.5, 2.0, 8.0}) {
+          for (const Metric metric :
+               {Metric::kEuclidean, Metric::kManhattan, Metric::kChessboard}) {
+            SCOPED_TRACE(testing::Message()
+                         << (encoding == NodeEncoding::kRaw ? "raw" : "quant")
+                         << (ties ? " lattice" : " uniform") << " seed "
+                         << seed << " eps " << eps << " metric "
+                         << static_cast<int>(metric));
+            WithinJoinOptions options;
+            options.epsilon = eps;
+            options.metric = metric;
+            IncWithinJoin<2> join(tree1, tree2, options);
+            const auto incremental = Drain(&join);
+            EXPECT_EQ(join.status(), JoinStatus::kExhausted);
 
-        WithinJoinOptions options;
-        options.epsilon = eps;
-        options.metric = metric;
-        IncWithinJoin<2> join(tree1, tree2, options);
-        const auto incremental = Drain(&join);
-        EXPECT_EQ(join.status(), JoinStatus::kExhausted);
-
-        // The incremental stream ascends and respects eps (inclusive).
-        for (size_t i = 0; i < incremental.size(); ++i) {
-          EXPECT_LE(incremental[i].distance, eps);
-          if (i > 0) {
-            EXPECT_GE(incremental[i].distance, incremental[i - 1].distance);
+            // The stream ascends and respects eps (inclusive).
+            for (size_t i = 0; i < incremental.size(); ++i) {
+              EXPECT_LE(incremental[i].distance, eps);
+              if (i > 0) {
+                EXPECT_GE(incremental[i].distance,
+                          incremental[i - 1].distance);
+              }
+            }
+            const auto reference =
+                baseline::WithinJoinSorted(tree1, tree2, eps, metric);
+            ExpectSameSet(incremental, reference);
           }
         }
-        const auto reference =
-            baseline::WithinJoinSorted(tree1, tree2, eps, metric);
-        ExpectSameSet(incremental, reference);
       }
     }
   }
 }
 
-TEST(IncWithinJoin, MatchesDistanceJoinRestrictedToEps) {
+// A within snapshot is a DistanceJoin{Even, [0, eps]} snapshot: it restores
+// into that join, and the join's restores into a within join, and either
+// way the resumed engine finishes the uninterrupted stream with the same
+// statistics.
+TEST(IncWithinJoin, SnapshotsCrossRestoreWithDistanceJoinRestrictedToEps) {
   const auto pa = data::GenerateUniform(500, Rect<2>({0, 0}, {100, 100}), 41);
   const auto pb = data::GenerateUniform(500, Rect<2>({0, 0}, {100, 100}), 42);
-  RTree<2> tree1 = test::BuildPointTree(pa);
-  RTree<2> tree2 = test::BuildPointTree(pb);
   const double eps = 3.0;
-
-  WithinJoinOptions options;
-  options.epsilon = eps;
-  IncWithinJoin<2> within(tree1, tree2, options);
-
+  WithinJoinOptions within_options;
+  within_options.epsilon = eps;
+  within_options.num_threads = 1;
   DistanceJoinOptions join_options;
+  join_options.node_policy = NodeProcessingPolicy::kEven;
   join_options.max_distance = eps;
-  DistanceJoin<2> join(tree1, tree2, join_options);
+  join_options.num_threads = 1;
 
-  ExpectSameSet(Drain(&within), Drain(&join));
+  // Fresh trees per engine, so pool-derived counters start cold each time.
+  const auto trees = [&] {
+    return std::make_pair(test::BuildPointTree(pa), test::BuildPointTree(pb));
+  };
+  auto ref_trees = trees();
+  IncWithinJoin<2> reference(ref_trees.first, ref_trees.second,
+                             within_options);
+  const auto expected = Drain(&reference);
+  ASSERT_GT(expected.size(), 60u);
+
+  const auto cross = [&](auto* saver, auto* restorer) {
+    auto first = Drain(saver, 40);
+    snapshot::Blob blob;
+    ASSERT_TRUE(saver->SaveState(&blob));
+    snapshot::BlobReader reader(blob.data(), blob.size());
+    ASSERT_TRUE(restorer->RestoreState(&reader));
+    const auto rest = Drain(restorer);
+    first.insert(first.end(), rest.begin(), rest.end());
+    ExpectSameStream(expected, first);
+    EXPECT_EQ(restorer->status(), JoinStatus::kExhausted);
+    test::ExpectStatsEqual(restorer->stats(), reference.stats());
+  };
+  {
+    SCOPED_TRACE("within -> distance join");
+    auto save_trees = trees();
+    auto restore_trees = trees();
+    IncWithinJoin<2> within(save_trees.first, save_trees.second,
+                            within_options);
+    DistanceJoin<2> join(restore_trees.first, restore_trees.second,
+                         join_options);
+    cross(&within, &join);
+  }
+  {
+    SCOPED_TRACE("distance join -> within");
+    auto save_trees = trees();
+    auto restore_trees = trees();
+    DistanceJoin<2> join(save_trees.first, save_trees.second, join_options);
+    IncWithinJoin<2> within(restore_trees.first, restore_trees.second,
+                            within_options);
+    cross(&join, &within);
+  }
 }
 
 TEST(IncWithinJoin, ParallelAndHybridStreamsAreIdentical) {

@@ -13,9 +13,10 @@
 //                       for the distance kernels (DESIGN.md §15); every
 //                       path is bit-identical, unsupported requests
 //                       degrade — also on semijoin]
-//                       [--within=EPS: incremental within-distance join —
-//                       every pair with distance <= EPS, ascending; replaces
-//                       the DistanceJoin shaping flags above]
+//                       [--within=EPS: within-distance join — every pair
+//                       with distance <= EPS, ascending; the Even join with
+//                       --max-distance=EPS, so it replaces the shaping
+//                       flags above]
 //                       [--inject-faults=<seed>] [--fault-read-rate=R]
 //                       [--fault-write-rate=R] [--fault-bit-flip-rate=R]
 //                       [--fault-hard-read-after=N]
@@ -105,7 +106,6 @@
 #include "core/join_cursor.h"
 #include "core/semi_join.h"
 #include "core/shard_merge.h"
-#include "core/within_join.h"
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "geometry/simd.h"
@@ -527,10 +527,11 @@ int CmdJoin(const Flags& flags) {
   RTree<2> ta = IndexPoints(a, tree_options);
   RTree<2> tb = IndexPoints(b, tree_options);
 
-  // --within=EPS switches to the incremental within-distance join: all
-  // pairs with distance <= EPS, still streamed by ascending distance. The
-  // DistanceJoin-only shaping flags make no sense there and are rejected.
-  if (flags.Has("within")) {
+  // --within=EPS is the within-distance join: the Even join restricted to
+  // [0, EPS] (Section 2.2.3), still streamed by ascending distance. The
+  // flags that would reshape that range or order are rejected.
+  const bool within = flags.Has("within");
+  if (within) {
     for (const char* incompatible : {"policy", "estimate", "reverse",
                                      "min-distance", "max-distance", "k"}) {
       if (flags.Has(incompatible)) {
@@ -539,46 +540,6 @@ int CmdJoin(const Flags& flags) {
         return 1;
       }
     }
-    sdj::WithinJoinOptions options;
-    options.epsilon = flags.GetDouble("within", 0.0);
-    if (options.epsilon < 0.0) {
-      std::fprintf(stderr, "--within must be >= 0\n");
-      return 1;
-    }
-    if (!ParseMetric(flags.Get("metric", "euclidean"), &options.metric)) {
-      return 1;
-    }
-    if (!ParseKernel(flags, &options.kernel_isa)) return 1;
-    if (!ParseScreen(flags, &options.screen_codes)) return 1;
-    const long threads = flags.GetLong("threads", 1);
-    if (threads < 1) {
-      std::fprintf(stderr, "--threads must be >= 1\n");
-      return 1;
-    }
-    options.num_threads = static_cast<int>(threads);
-    if (!ParseShards(flags, &options.shards)) return 1;
-    sdj::util::StopSource stop_source;
-    options.stop_token = stop_source.token();
-    options.metrics = obs.get();
-    ta.pool().SetMetrics(obs.get());
-    tb.pool().SetMetrics(obs.get());
-
-    int rc;
-    if (sdj::env_knobs::ResolveShards(options.shards) >= 2) {
-      sdj::ShardedWithinJoin<2> join(ta, tb, options);
-      rc = DriveJoin(&join, flags, &stop_source,
-                     tree_options.fault_injection, obs.get());
-    } else {
-      sdj::IncWithinJoin<2> join(ta, tb, options);
-      rc = DriveJoin(&join, flags, &stop_source,
-                     tree_options.fault_injection, obs.get());
-    }
-    if (faulty) {
-      PrintFaultCounters("a", ta.injector());
-      PrintFaultCounters("b", tb.injector());
-    }
-    if (!obs.Finish() && rc == 0) rc = 1;
-    return rc;
   }
 
   DistanceJoinOptions options;
@@ -599,8 +560,14 @@ int CmdJoin(const Flags& flags) {
     return 1;
   }
   options.min_distance = flags.GetDouble("min-distance", 0.0);
-  options.max_distance = flags.GetDouble(
-      "max-distance", std::numeric_limits<double>::infinity());
+  options.max_distance =
+      within ? flags.GetDouble("within", 0.0)
+             : flags.GetDouble("max-distance",
+                               std::numeric_limits<double>::infinity());
+  if (within && options.max_distance < 0.0) {
+    std::fprintf(stderr, "--within must be >= 0\n");
+    return 1;
+  }
   options.max_pairs = static_cast<uint64_t>(flags.GetLong("k", 0));
   options.reverse_order = flags.GetBool("reverse");
   if (flags.GetBool("estimate")) {
