@@ -15,8 +15,11 @@
 //   * the hybrid memory/disk priority queue (Section 3.2);
 //   * object-bounding-rectangle mode for objects stored outside the tree
 //     (Figure 3, lines 7-14), via a user exact-distance callback;
-//   * the distance semi-join filter and bound strategies (Sections 2.3,
-//     4.2.1) — configured through DistanceSemiJoin in core/semi_join.h.
+//   * the distance semi-join (Section 2.3): one bit string S_o of first
+//     objects already reported, checked where the Outside / Inside1 /
+//     Inside2 filter says, plus the d_max bound strategies of Section 4.2.1.
+//     DistanceSemiJoin (core/semi_join.h) is the option adapter that sets
+//     them.
 //
 // The iterator is pipelined: each Next() call reports the next pair by
 // non-decreasing distance, and the entire state lives in the priority queue,
@@ -77,7 +80,7 @@ enum class NodeProcessingPolicy {
 // Semi-join duplicate filtering (Section 2.3 / Figure 9). kNone = plain join.
 enum class SemiJoinFilter {
   kNone,
-  kOutside,  // filter outside the algorithm (handled by DistanceSemiJoin)
+  kOutside,  // filter reportable pairs only, as they leave the queue
   kInside1,  // filter dequeued pairs inside the main loop
   kInside2,  // additionally filter pairs when nodes are expanded
 };
@@ -219,8 +222,8 @@ struct JoinFilters {
 //   JoinResult<2> pair;
 //   while (join.Next(&pair)) Use(pair);   // pairs by non-decreasing distance
 //
-// The three trailing constructor parameters select the semi-join variants;
-// use DistanceSemiJoin (core/semi_join.h) instead of setting them directly.
+// The two trailing constructor parameters select the semi-join variants;
+// DistanceSemiJoin (core/semi_join.h) is the adapter that sets them.
 //
 // `Index` is the spatial index type; any hierarchical structure exposing the
 // RTree<Dim> read interface works (the paper's "large class of hierarchical
@@ -245,21 +248,23 @@ class DistanceJoin
                const DistanceJoinOptions& options,
                JoinFilters<Dim> filters = JoinFilters<Dim>{},
                SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
-               SemiJoinBound semi_bound = SemiJoinBound::kNone,
-               bool semi_estimation = false)
+               SemiJoinBound semi_bound = SemiJoinBound::kNone)
       : Base({&tree1.pool(), &tree2.pool()}, MakeConfig(options)),
         tree1_(tree1),
         tree2_(tree2),
         options_(options),
         filters_(std::move(filters)),
-        semi_filter_(semi_filter),
+        // The paper's coupling rule (Section 4.2.1): bounds imply Inside2.
+        semi_filter_(semi_bound == SemiJoinBound::kNone
+                         ? semi_filter
+                         : SemiJoinFilter::kInside2),
         semi_bound_(semi_bound),
-        semi_estimation_(semi_estimation),
+        // A semi-join estimates with the variant of Section 2.3.
+        semi_estimation_(options.estimate_max_distance &&
+                         semi_filter_ != SemiJoinFilter::kNone),
         minimal_regions_(tree1.minimal_bounding_regions() &&
                          tree2.minimal_bounding_regions()),
         isa_(simd::Resolve(options.kernel_isa)) {
-    const bool inside_semi = semi_filter == SemiJoinFilter::kInside1 ||
-                             semi_filter == SemiJoinFilter::kInside2;
     // Query configuration is user input: a violated precondition is
     // reported through status() (kInvalidArgument), never an abort.
     const bool valid =
@@ -272,7 +277,11 @@ class DistanceJoin
         !(options.use_hybrid_queue && options.reverse_order) &&
         // Reverse semi-join estimation would estimate the wrong bound (the
         // paper's Section 2.3 discussion); plain reverse semi-joins are fine.
-        !(semi_estimation && options.reverse_order) &&
+        !(semi_estimation_ && options.reverse_order) &&
+        // Estimation counts distinct first objects as they are reported,
+        // which Outside filtering (at report time only) cannot supply.
+        !(semi_filter_ == SemiJoinFilter::kOutside &&
+          options.estimate_max_distance) &&
         // Selection filters remove result pairs, so subtree-cardinality-
         // based estimation would overcount and over-prune.
         (!options.estimate_max_distance || filters_.Empty()) &&
@@ -284,15 +293,13 @@ class DistanceJoin
         // Dense-object-id precondition (CLAUDE.md): the semi-join bit
         // string S_o and the bound tables index by object id, so ids must
         // lie in [0, size).
-        !((inside_semi || semi_bound_ != SemiJoinBound::kNone) &&
-          tree1.size() > 0 && tree1.max_object_id() >= tree1.size());
+        !(semi_filter_ != SemiJoinFilter::kNone && tree1.size() > 0 &&
+          tree1.max_object_id() >= tree1.size());
     if (!valid) {
-      status_ = JoinStatus::kInvalidArgument;
+      RejectOptions();
       return;
     }
-    if (inside_semi || semi_bound_ != SemiJoinBound::kNone) {
-      reported_.Resize(tree1.size());
-    }
+    if (semi_filter_ != SemiJoinFilter::kNone) reported_.Resize(tree1.size());
     if (semi_bound_ == SemiJoinBound::kGlobalNodes ||
         semi_bound_ == SemiJoinBound::kGlobalAll) {
       node_bounds_.assign(tree1.pool().num_pages(),
@@ -308,15 +315,6 @@ class DistanceJoin
 
   // The currently effective maximum distance (query bound or estimate).
   double effective_max_distance() const { return EffectiveMax(); }
-
-  // Semi-join Outside support: tells the estimator that `id1` was accepted
-  // as a new first object by an external filter.
-  void NotifyExternalSemiReport(ObjectId id1) {
-    if (estimator_.has_value() && semi_estimation_) {
-      estimator_->OnReportSemi(EncodeEstimatorItem(
-          static_cast<uint8_t>(ObjectKind()), -1, id1));
-    }
-  }
 
   // ---- snapshot support (DESIGN.md §11) ----
 
@@ -387,6 +385,11 @@ class DistanceJoin
     resolved_ready_ = false;
     return true;
   }
+
+ protected:
+  // Stops the engine with kInvalidArgument: no results, no snapshot. Option
+  // adapters call it for options that match no engine configuration.
+  void RejectOptions() { status_ = JoinStatus::kInvalidArgument; }
 
  private:
   using Item = typename Base::Item;
@@ -591,13 +594,11 @@ class DistanceJoin
     return id < reported_.size() && reported_.Test(id);
   }
 
-  // For Inside filters: claims `id1` as reported; returns false if it was
-  // already claimed. No-op (true) for plain joins and Outside filtering.
+  // Claims `id1` in S_o; returns false if it was already claimed. Every
+  // semi-join filter ends here; Outside checks nowhere else. No-op (true)
+  // for plain joins.
   bool AcceptSemiReport(uint64_t id1) {
-    if (semi_filter_ != SemiJoinFilter::kInside1 &&
-        semi_filter_ != SemiJoinFilter::kInside2) {
-      return true;
-    }
+    if (semi_filter_ == SemiJoinFilter::kNone) return true;
     SDJ_CHECK(id1 < reported_.size());
     if (!reported_.TestAndSet(id1)) {
       ++stats_.filtered_reported;
@@ -609,13 +610,10 @@ class DistanceJoin
   void NotifyReport(uint64_t id1) {
     if (!estimator_.has_value()) return;
     if (semi_estimation_) {
-      // For Inside filters the engine itself dedupes, so every report is a
-      // fresh first object. (Outside mode goes via NotifyExternalSemiReport.)
-      if (semi_filter_ == SemiJoinFilter::kInside1 ||
-          semi_filter_ == SemiJoinFilter::kInside2) {
-        estimator_->OnReportSemi(EncodeEstimatorItem(
-            static_cast<uint8_t>(ObjectKind()), -1, id1));
-      }
+      // AcceptSemiReport already deduped, so every report is a fresh first
+      // object.
+      estimator_->OnReportSemi(EncodeEstimatorItem(
+          static_cast<uint8_t>(ObjectKind()), -1, id1));
     } else {
       estimator_->OnReportJoin();
     }
@@ -1286,7 +1284,7 @@ class DistanceJoin
   std::optional<MaxDistEstimator> estimator_;
   bool estimation_disabled_ = false;
 
-  DynamicBitset reported_;             // S_o (semi-join Inside filters)
+  DynamicBitset reported_;             // S_o (every semi-join filter)
   std::vector<double> node_bounds_;    // smallest d_max per R1 node page
   std::vector<double> object_bounds_;  // smallest d_max per R1 object
 

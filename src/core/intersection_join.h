@@ -8,21 +8,20 @@
 // function" returns infinity for non-intersecting pairs (pruning them) and
 // otherwise MINDIST(anchor, rect1 ∩ rect2), which is consistent — shrinking
 // either rect shrinks the intersection and can only increase the key — so
-// the incremental machinery applies unchanged.
+// the incremental machinery applies unchanged. Structurally it is a small
+// policy over the best-first core (core/best_first.h, DESIGN.md §13), which
+// owns the queue, the pop loop and kIoError on an unreadable page.
 #ifndef SDJOIN_CORE_INTERSECTION_JOIN_H_
 #define SDJOIN_CORE_INTERSECTION_JOIN_H_
 
 #include <cstdint>
-#include <memory>
 
+#include "core/best_first.h"
 #include "core/join_result.h"
-#include "core/join_stats.h"
 #include "core/pair_entry.h"
-#include "core/pair_queue.h"
 #include "geometry/distance.h"
 #include "geometry/metrics.h"
 #include "rtree/rtree.h"
-#include "util/check.h"
 
 namespace sdj {
 
@@ -33,57 +32,83 @@ namespace sdj {
 //   OrderedIntersectionJoin<2> join(roads, rivers, house);
 //   JoinResult<2> crossing;
 //   while (join.Next(&crossing)) ...   // nearest crossings first
+//
+// Next(), status() and stats() are inherited from the best-first core.
 template <int Dim>
-class OrderedIntersectionJoin {
+class OrderedIntersectionJoin
+    : public BestFirstEngine<Dim, OrderedIntersectionJoin<Dim>, RTree<Dim>,
+                             JoinResult<Dim>> {
+  using Base = BestFirstEngine<Dim, OrderedIntersectionJoin<Dim>, RTree<Dim>,
+                               JoinResult<Dim>>;
+  // The core invokes the policy hooks below, which stay private.
+  friend Base;
+
  public:
+  // `out->distance` of each result is the distance from the anchor to the
+  // pair's intersection region (NOT the pair distance, which is 0 by
+  // construction).
   OrderedIntersectionJoin(const RTree<Dim>& tree1, const RTree<Dim>& tree2,
                           const Point<Dim>& anchor,
                           Metric metric = Metric::kEuclidean)
-      : tree1_(tree1),
+      : Base({&tree1.pool(), &tree2.pool()}, BestFirstConfig{}),
+        tree1_(tree1),
         tree2_(tree2),
         anchor_(anchor),
-        metric_(metric),
-        queue_(PairEntryCompare<Dim>{TieBreakPolicy::kDepthFirst}) {
+        metric_(metric) {
     if (tree1.empty() || tree2.empty()) return;
-    Item root1{tree1.RootMbr(), tree1.root(),
-               static_cast<int16_t>(tree1.root_level()), JoinItemKind::kNode};
-    Item root2{tree2.RootMbr(), tree2.root(),
-               static_cast<int16_t>(tree2.root_level()), JoinItemKind::kNode};
+    Item root1;
+    Item root2;
+    if (!this->RootItem(tree1, &root1) || !this->RootItem(tree2, &root2)) {
+      return;
+    }
     TryEnqueue(root1, root2);
   }
 
-  // Produces the next intersecting pair; `out->distance` is the distance
-  // from the anchor to the pair's intersection region (NOT the pair
-  // distance, which is 0 by construction). Returns false when exhausted.
-  bool Next(JoinResult<Dim>* out) {
-    SDJ_CHECK(out != nullptr);
-    while (!queue_.Empty()) {
-      const Entry e = queue_.Pop();
-      ++stats_.queue_pops;
-      if (e.IsObjectPair()) {
-        out->id1 = e.item1.ref;
-        out->id2 = e.item2.ref;
-        out->rect1 = e.item1.rect;
-        out->rect2 = e.item2.rect;
-        out->distance = e.distance;
-        ++stats_.pairs_reported;
-        return true;
-      }
-      Expand(e);
-    }
-    return false;
+ private:
+  using Item = typename Base::Item;
+  using Entry = typename Base::Entry;
+
+  PopAction OnPopped(const Entry& e, JoinResult<Dim>* out) {
+    if (!e.IsObjectPair()) return PopAction::kExpand;
+    out->id1 = e.item1.ref;
+    out->id2 = e.item2.ref;
+    out->rect1 = e.item1.rect;
+    out->rect2 = e.item2.rect;
+    out->distance = e.distance;
+    ++this->stats_.pairs_reported;
+    return PopAction::kReported;
   }
 
-  const JoinStats& stats() const { return stats_; }
-
- private:
-  using Item = JoinItem<Dim>;
-  using Entry = PairEntry<Dim>;
+  // Even traversal: expand the shallower node of node/node pairs.
+  bool Expand(const Entry& e) {
+    const bool expand_second =
+        !e.item1.is_node() ||
+        (e.item2.is_node() && e.item2.level > e.item1.level);
+    const Item& node_item = expand_second ? e.item2 : e.item1;
+    const Item& other = expand_second ? e.item1 : e.item2;
+    bool leaf;
+    int level;
+    if (!this->PinDecode(expand_second ? tree2_ : tree1_, node_item.ref,
+                         &this->batch1_, &this->refs1_, &leaf, &level)) {
+      return this->MarkIoError();
+    }
+    ++this->stats_.nodes_expanded;
+    this->BuildChildItems(this->batch1_, this->refs1_, leaf, level,
+                          JoinItemKind::kObject, &this->left_);
+    for (const Item& child : this->left_) {
+      if (expand_second) {
+        TryEnqueue(other, child);
+      } else {
+        TryEnqueue(child, other);
+      }
+    }
+    return true;
+  }
 
   void TryEnqueue(const Item& a, const Item& b) {
-    ++stats_.total_distance_calcs;
+    ++this->stats_.total_distance_calcs;
     if (!a.rect.Intersects(b.rect)) {
-      ++stats_.pruned_by_range;  // the "infinite distance" of the paper
+      ++this->stats_.pruned_by_range;  // the "infinite distance" of the paper
       return;
     }
     Entry e;
@@ -91,47 +116,16 @@ class OrderedIntersectionJoin {
     e.key = e.distance;
     e.item1 = a;
     e.item2 = b;
-    e.seq = next_seq_++;
+    e.seq = this->next_seq_++;
     FinalizePairMetadata(&e);
-    queue_.Push(e);
-    ++stats_.queue_pushes;
-    stats_.max_queue_size =
-        std::max<uint64_t>(stats_.max_queue_size, queue_.Size());
-  }
-
-  void Expand(const Entry& e) {
-    // Even traversal: expand the shallower node of node/node pairs.
-    const bool expand_second =
-        !e.item1.is_node() ||
-        (e.item2.is_node() && e.item2.level > e.item1.level);
-    const RTree<Dim>& tree = expand_second ? tree2_ : tree1_;
-    const Item& node_item = expand_second ? e.item2 : e.item1;
-    const Item& other = expand_second ? e.item1 : e.item2;
-    ++stats_.nodes_expanded;
-    typename RTree<Dim>::PinnedNode node =
-        tree.Pin(static_cast<storage::PageId>(node_item.ref));
-    const bool leaf = node.is_leaf();
-    for (uint32_t i = 0; i < node.count(); ++i) {
-      Item child;
-      child.rect = node.rect(i);
-      child.ref = node.ref(i);
-      child.level = leaf ? -1 : static_cast<int16_t>(node.level() - 1);
-      child.kind = leaf ? JoinItemKind::kObject : JoinItemKind::kNode;
-      if (expand_second) {
-        TryEnqueue(other, child);
-      } else {
-        TryEnqueue(child, other);
-      }
-    }
+    this->queue_->Push(e);
+    ++this->stats_.queue_pushes;
   }
 
   const RTree<Dim>& tree1_;
   const RTree<Dim>& tree2_;
   const Point<Dim> anchor_;
   const Metric metric_;
-  MemoryPairQueue<Dim> queue_;
-  uint64_t next_seq_ = 0;
-  JoinStats stats_;
 };
 
 }  // namespace sdj

@@ -561,6 +561,14 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
+  // For option adapters whose options match no engine configuration (a
+  // semi-join without a filter): drops the passthrough engine, so Next()
+  // returns false and status() reports kInvalidArgument.
+  void RejectOptions() {
+    passthrough_.reset();
+    status_ = JoinStatus::kInvalidArgument;
+  }
+
   // The engines' full JoinStats regardless of what their stats() returns
   // (the neighbor engines surface IncNearestStats there).
   static const JoinStats& EngineStats(const EngineT& engine) {
@@ -679,8 +687,7 @@ class ShardedDistanceJoin
                       const DistanceJoinOptions& options,
                       JoinFilters<Dim> filters = JoinFilters<Dim>{},
                       SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
-                      SemiJoinBound semi_bound = SemiJoinBound::kNone,
-                      bool semi_estimation = false)
+                      SemiJoinBound semi_bound = SemiJoinBound::kNone)
       : BaseT({&tree1.pool(), &tree2.pool()}) {
     const bool eligible = !options.estimate_max_distance &&
                           !options.reverse_order &&
@@ -688,28 +695,38 @@ class ShardedDistanceJoin
                           filters.object_filter1 == nullptr &&
                           filters.object_filter2 == nullptr;
     // Semi-joins partition S_o and the bound tables by first-item id, so
-    // only an item1 scatter is sound for them.
+    // only an item1 scatter is sound for them (Outside included: each shard
+    // keeps its own S_o).
     const bool symmetric = semi_filter == SemiJoinFilter::kNone &&
-                           semi_bound == SemiJoinBound::kNone &&
-                           !semi_estimation;
+                           semi_bound == SemiJoinBound::kNone;
     this->BuildShards(
         options, eligible, /*allow_item2_fallback=*/symmetric,
         /*descending=*/false, /*max_results=*/options.max_pairs,
         /*auto_resume=*/false, [&](const DistanceJoinOptions& o) {
           return std::make_unique<DistanceJoin<Dim, Index>>(
-              tree1, tree2, o, filters, semi_filter, semi_bound,
-              semi_estimation);
+              tree1, tree2, o, filters, semi_filter, semi_bound);
         });
   }
 };
 
-// Sharded distance semi-join: DistanceSemiJoin over a sharded engine. The
-// Outside filter dedupes the merged stream in the wrapper exactly as it
-// dedupes a serial stream; Inside filters and d_max bounds shard cleanly
-// because the plan scatters by item1 only.
+// Sharded distance semi-join: the same option adapter as DistanceSemiJoin,
+// over ShardedDistanceJoin. Every filter and bound shards cleanly because
+// the plan scatters by item1 only, so each first object's S_o bit and bound
+// entries live in exactly one shard; the merge enforces max_pairs. When the
+// root expansion descended the second tree (one distinct item1), there is
+// no item1 scatter and the wrapper runs one passthrough engine.
 template <int Dim, typename Index = RTree<Dim>>
-using ShardedDistanceSemiJoin =
-    DistanceSemiJoin<Dim, Index, ShardedDistanceJoin<Dim, Index>>;
+class ShardedDistanceSemiJoin : public ShardedDistanceJoin<Dim, Index> {
+ public:
+  ShardedDistanceSemiJoin(const Index& tree1, const Index& tree2,
+                          const SemiJoinOptions& options,
+                          JoinFilters<Dim> filters = JoinFilters<Dim>{})
+      : ShardedDistanceJoin<Dim, Index>(tree1, tree2, options.join,
+                                        std::move(filters), options.filter,
+                                        options.bound) {
+    if (!options.IsSemiJoin()) this->RejectOptions();
+  }
+};
 
 // Sharded incremental within-distance join: the same option adapter as
 // IncWithinJoin, over ShardedDistanceJoin. An Even join with a fixed range

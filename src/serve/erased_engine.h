@@ -40,7 +40,7 @@ class ErasedEngine {
   virtual void ResumeSuspended() = 0;
   virtual bool SaveState(snapshot::Blob* out) = 0;
   virtual bool RestoreState(snapshot::BlobReader* in) = 0;
-  // By value: some engines (DistanceSemiJoin) synthesize their stats.
+  // A copy of the engine's full counter set.
   virtual JoinStats stats() const = 0;
   // Entries currently live in the pair queue — the session's memory-cost
   // proxy for the manager's eviction decisions.

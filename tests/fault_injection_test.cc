@@ -12,6 +12,7 @@
 
 #include "core/distance_join.h"
 #include "core/hybrid_queue.h"
+#include "core/intersection_join.h"
 #include "core/semi_join.h"
 #include "core/shard_merge.h"
 #include "core/within_join.h"
@@ -513,6 +514,14 @@ TEST_F(FaultyJoinTest, UnreadableRootYieldsIoErrorNotAbort) {
     options.shards = 4;
     ShardedDistanceJoin<2> join(*ta, *tb, options);
     expect_io_error(&join, "ShardedDistanceJoin");
+  }
+  {
+    auto ta = OpenFaulty(path_a_, faults);
+    auto tb = OpenFaulty(path_b_, faults);
+    ASSERT_NE(ta, nullptr);
+    ASSERT_NE(tb, nullptr);
+    OrderedIntersectionJoin<2> join(*ta, *tb, Point<2>{413.0, 287.0});
+    expect_io_error(&join, "OrderedIntersectionJoin");
   }
 }
 

@@ -20,6 +20,7 @@
 #include "core/distance_join.h"
 #include "core/join_cursor.h"
 #include "core/semi_join.h"
+#include "core/shard_merge.h"
 #include "core/snapshot.h"
 #include "core/within_join.h"
 #include "data/generators.h"
@@ -709,53 +710,60 @@ TEST(OptionValidation, BadOptionsYieldInvalidArgumentNotAbort) {
   const auto join_case = [&](const char* what, auto tweak) {
     DistanceJoinOptions options;
     JoinFilters<2> filters;
-    SemiJoinBound bound = SemiJoinBound::kNone;
-    bool semi_estimation = false;
-    tweak(&options, &filters, &bound, &semi_estimation);
-    DistanceJoin<2> join(ta, tb, options, filters, SemiJoinFilter::kNone,
-                         bound, semi_estimation);
+    tweak(&options, &filters);
+    DistanceJoin<2> join(ta, tb, options, filters);
     expect_invalid(&join, what);
   };
   using F = JoinFilters<2>;
-  join_case("negative range", [](DistanceJoinOptions* o, F*, auto*, bool*) {
+  join_case("negative range", [](DistanceJoinOptions* o, F*) {
     o->min_distance = -1.0;
   });
-  join_case("inverted range", [](DistanceJoinOptions* o, F*, auto*, bool*) {
+  join_case("inverted range", [](DistanceJoinOptions* o, F*) {
     o->min_distance = 5.0;
     o->max_distance = 4.0;
   });
-  join_case("NaN bound", [&](DistanceJoinOptions* o, F*, auto*, bool*) {
+  join_case("NaN bound", [&](DistanceJoinOptions* o, F*) {
     o->max_distance = nan;
   });
-  join_case("estimation without max_pairs",
-            [](DistanceJoinOptions* o, F*, auto*, bool*) {
-              o->estimate_max_distance = true;
-            });
-  join_case("hybrid + reverse", [](DistanceJoinOptions* o, F*, auto*, bool*) {
+  join_case("estimation without max_pairs", [](DistanceJoinOptions* o, F*) {
+    o->estimate_max_distance = true;
+  });
+  join_case("hybrid + reverse", [](DistanceJoinOptions* o, F*) {
     o->use_hybrid_queue = true;
     o->reverse_order = true;
   });
-  join_case("semi estimation + reverse",
-            [](DistanceJoinOptions* o, F*, auto*, bool* semi_est) {
-              o->reverse_order = true;
-              *semi_est = true;
-            });
-  join_case("filters + estimation",
-            [](DistanceJoinOptions* o, F* f, auto*, bool*) {
-              o->max_pairs = 10;
-              o->estimate_max_distance = true;
-              f->window1 = Rect<2>({0.0, 0.0}, {500.0, 500.0});
-            });
-  join_case("semi bound + second-relation filter",
-            [](DistanceJoinOptions*, F* f, SemiJoinBound* bound, bool*) {
-              *bound = SemiJoinBound::kLocal;
-              f->window2 = Rect<2>({0.0, 0.0}, {500.0, 500.0});
-            });
+  join_case("filters + estimation", [](DistanceJoinOptions* o, F* f) {
+    o->max_pairs = 10;
+    o->estimate_max_distance = true;
+    f->window1 = Rect<2>({0.0, 0.0}, {500.0, 500.0});
+  });
+  {
+    SemiJoinOptions options;
+    options.filter = SemiJoinFilter::kInside1;
+    options.join.max_pairs = 10;
+    options.join.estimate_max_distance = true;
+    options.join.reverse_order = true;
+    DistanceSemiJoin<2> semi(ta, tb, options);
+    expect_invalid(&semi, "semi estimation + reverse");
+  }
+  {
+    SemiJoinOptions options;
+    options.bound = SemiJoinBound::kLocal;
+    JoinFilters<2> filters;
+    filters.window2 = Rect<2>({0.0, 0.0}, {500.0, 500.0});
+    DistanceSemiJoin<2> semi(ta, tb, options, filters);
+    expect_invalid(&semi, "semi bound + second-relation filter");
+  }
   {
     SemiJoinOptions options;
     options.filter = SemiJoinFilter::kNone;
     DistanceSemiJoin<2> semi(ta, tb, options);
     expect_invalid(&semi, "semi filter kNone");
+    for (const int shards : {1, 2}) {
+      options.join.shards = shards;
+      ShardedDistanceSemiJoin<2> sharded(ta, tb, options);
+      expect_invalid(&sharded, "sharded semi filter kNone");
+    }
   }
   {
     SemiJoinOptions options;

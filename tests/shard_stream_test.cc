@@ -281,18 +281,19 @@ TEST(ShardedParallelJoin, WithinJoinMatchesSerialAllShardCounts) {
   }
 }
 
+struct SemiConfig {
+  const char* name;
+  SemiJoinFilter filter;
+  SemiJoinBound bound;
+};
+constexpr SemiConfig kSemiConfigs[] = {
+    {"outside", SemiJoinFilter::kOutside, SemiJoinBound::kNone},
+    {"inside1", SemiJoinFilter::kInside1, SemiJoinBound::kNone},
+    {"inside2_globalall", SemiJoinFilter::kInside2, SemiJoinBound::kGlobalAll},
+};
+
 TEST(ShardedParallelJoin, SemiJoinMatchesSerialAllFilters) {
-  struct Config {
-    const char* name;
-    SemiJoinFilter filter;
-    SemiJoinBound bound;
-  };
-  const Config configs[] = {
-      {"outside", SemiJoinFilter::kOutside, SemiJoinBound::kNone},
-      {"inside1", SemiJoinFilter::kInside1, SemiJoinBound::kNone},
-      {"inside2_globalall", SemiJoinFilter::kInside2, SemiJoinBound::kGlobalAll},
-  };
-  for (const Config& config : configs) {
+  for (const SemiConfig& config : kSemiConfigs) {
     SCOPED_TRACE(config.name);
     SemiJoinOptions base;
     base.filter = config.filter;
@@ -319,6 +320,39 @@ TEST(ShardedParallelJoin, SemiJoinMatchesSerialAllFilters) {
       EXPECT_EQ(semi.status(), JoinStatus::kExhausted);
       ExpectSamePairs(serial, sharded);
       ExpectStatsIdentical(serial_stats, semi.stats());
+    }
+  }
+}
+
+// max_pairs counts distinct first objects, and the merge enforces it: the
+// capped sharded stream is the serial one, ending kExhausted.
+TEST(ShardedParallelJoin, SemiJoinMaxPairsCapMatchesSerial) {
+  for (const SemiConfig& config : kSemiConfigs) {
+    SCOPED_TRACE(config.name);
+    SemiJoinOptions base;
+    base.filter = config.filter;
+    base.bound = config.bound;
+    base.join.max_pairs = 250;
+    std::vector<JoinResult<2>> serial;
+    {
+      RTree<2> tree1 = test::BuildPointTree(SetA());
+      RTree<2> tree2 = test::BuildPointTree(SetB());
+      DistanceSemiJoin<2> semi(tree1, tree2, base);
+      serial = DrainPairs(&semi);
+      ASSERT_EQ(semi.status(), JoinStatus::kExhausted);
+      ASSERT_EQ(serial.size(), 250u);
+    }
+    for (const int shards : {2, 4, 7}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      RTree<2> tree1 = test::BuildPointTree(SetA());
+      RTree<2> tree2 = test::BuildPointTree(SetB());
+      SemiJoinOptions options = base;
+      options.join.shards = shards;
+      ShardedDistanceSemiJoin<2> semi(tree1, tree2, options);
+      EXPECT_GE(semi.effective_shards(), 2);
+      const auto sharded = DrainPairs(&semi);
+      EXPECT_EQ(semi.status(), JoinStatus::kExhausted);
+      ExpectSamePairs(serial, sharded);
     }
   }
 }

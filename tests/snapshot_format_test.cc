@@ -1,7 +1,8 @@
 // Snapshot wire-format pins for the SaveState framings (DESIGN.md §11):
-// DistanceJoin, DistanceSemiJoin, NeighborEngine (through
-// IncNearestNeighbor) and ShardedEngine (through ShardedDistanceJoin), plus
-// IncWithinJoin, whose bytes are DistanceJoin's for the restricted range.
+// DistanceJoin, NeighborEngine (through IncNearestNeighbor) and
+// ShardedEngine (through ShardedDistanceJoin), plus the option adapters
+// DistanceSemiJoin and IncWithinJoin, whose bytes are DistanceJoin's for
+// their configurations.
 //
 // Each framing saves a fixed small input after a fixed prefix with one
 // classify thread; the blob's size and FNV-1a-64 are pinned below, so any
@@ -219,7 +220,8 @@ Framing<DistanceSemiJoin<2>> SemiFraming() {
             return std::make_unique<DistanceSemiJoin<2>>(
                 trees->a, trees->b, SemiOptions(SemiJoinBound::kGlobalNodes));
           },
-          23331, 2132117087317995764ULL};
+          // DistanceJoin's "SJJC" framing for {Inside2, GlobalAll}.
+          23297, 13657682469605173377ULL};
 }
 
 Framing<IncWithinJoin<2>> WithinFraming() {
@@ -322,6 +324,25 @@ TEST(SnapshotWireFormat, RetiredWithinSnapshotIsRefusedUntouched) {
   std::string bytes(old.data(), old.size());
   bytes += current;  // a plausible body behind the retired fingerprint
   ExpectRefusedUntouched(within.make, bytes, "SJWE version 2");
+}
+
+// Snapshots of the retired semi-join wrapper open with its own framing —
+// filter u8, bound u8, the reported and Outside-filtered counts and an empty
+// Outside bit string — before the engine's "SJJC" section. No engine reads
+// that framing any more, so they are refused.
+TEST(SnapshotWireFormat, RetiredSemiWrapperSnapshotIsRefusedUntouched) {
+  const Framing<DistanceSemiJoin<2>> semi = SemiFraming();
+  const std::string current = SaveAfterPrefix(semi.make().get(), semi.prefix);
+  snapshot::Blob old;
+  old.PutU8(static_cast<uint8_t>(SemiJoinFilter::kInside2));
+  old.PutU8(static_cast<uint8_t>(SemiJoinBound::kGlobalAll));
+  old.PutU64(semi.prefix);  // reported
+  old.PutU64(0);            // Outside-filtered
+  old.PutU64(0);            // Outside bit string: size
+  old.PutU64(0);            //   and word count
+  std::string bytes(old.data(), old.size());
+  bytes += current;  // the engine section the wrapper used to frame
+  ExpectRefusedUntouched(semi.make, bytes, "semi wrapper framing");
 }
 
 TEST(SnapshotWireFormat, ShardedFixtureActuallyShards) {
