@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -29,6 +30,7 @@
 #include "nn/inc_farthest.h"
 #include "nn/inc_nearest.h"
 #include "nn/sharded_neighbor.h"
+#include "quadtree/quadtree.h"
 #include "rtree/rtree.h"
 
 namespace sdj {
@@ -291,6 +293,250 @@ TEST(GoldenStream, QuantizedScreenedWithinJoin) {
       }
     }
   }
+}
+
+// ---- the stateful acceptance ladder ------------------------------------------
+//
+// Configurations whose candidate classification consults engine state —
+// estimation, Dmin, windows, object predicates, semi-join filters and
+// bounds, restarts — each pinned as one "config" section of a group
+// fixture, so a change to any rung of the ladder or to who charges which
+// counter fails here.
+
+template <typename Engine>
+std::string Section(const std::string& name, Engine* join) {
+  return "config " + name + "\n" + DrainJoin(join, kPairCap);
+}
+
+TEST(GoldenStream, LadderEstimation) {
+  // Guaranteed, aggressive and reverse (rising-minimum) estimation, under
+  // the serial-expansion Even policy and the plane-sweep Simultaneous one.
+  struct Mode {
+    const char* name;
+    bool aggressive;
+    bool reverse;
+  };
+  const Mode modes[] = {{"guaranteed", false, false},
+                        {"aggressive", true, false},
+                        {"reverse", false, true}};
+  std::string actual;
+  for (const Mode& mode : modes) {
+    for (const NodeProcessingPolicy policy :
+         {NodeProcessingPolicy::kEven, NodeProcessingPolicy::kSimultaneous}) {
+      RTree<2> tree1 = test::BuildPointTree(SetA());
+      RTree<2> tree2 = test::BuildPointTree(SetB());
+      DistanceJoinOptions options;
+      options.node_policy = policy;
+      options.max_pairs = 150;
+      options.estimate_max_distance = true;
+      options.aggressive_estimation = mode.aggressive;
+      options.reverse_order = mode.reverse;
+      DistanceJoin<2> join(tree1, tree2, options);
+      actual += Section(std::string(mode.name) + "_policy" +
+                            std::to_string(static_cast<int>(policy)),
+                        &join);
+    }
+  }
+  CheckGolden("ladder_estimation", actual);
+}
+
+TEST(GoldenStream, LadderRangeAndWindows) {
+  // A [2, 4] range with spatial windows on both relations. 8 KB pages give
+  // expansions of more than a hundred candidates, so the 4-thread runs
+  // classify on the pool (parallel_expansions > 0); every other line must
+  // match the serial run's.
+  std::string actual;
+  for (const NodeProcessingPolicy policy :
+       {NodeProcessingPolicy::kEven, NodeProcessingPolicy::kSimultaneous}) {
+    for (const int threads : {1, 4}) {
+      RTree<2> tree1 = test::BuildPointTree(SetA(), 8192);
+      RTree<2> tree2 = test::BuildPointTree(SetB(), 8192);
+      DistanceJoinOptions options;
+      options.node_policy = policy;
+      options.min_distance = 2.0;
+      options.max_distance = 4.0;
+      options.num_threads = threads;
+      JoinFilters<2> filters;
+      filters.window1 = Rect<2>({10, 10}, {70, 80});
+      filters.window2 = Rect<2>({20, 0}, {90, 60});
+      DistanceJoin<2> join(tree1, tree2, options, filters);
+      actual += Section("policy" + std::to_string(static_cast<int>(policy)) +
+                            "_t" + std::to_string(threads),
+                        &join);
+      if (threads > 1) {
+        EXPECT_GT(join.stats().parallel_expansions, 0u);
+      }
+    }
+  }
+  CheckGolden("ladder_range_windows", actual);
+}
+
+TEST(GoldenStream, LadderObjectFilters) {
+  // Attribute predicates on both relations (a plain join), and on the first
+  // relation of a bounded semi-join (the only side bounds allow).
+  const auto keep1 = [](ObjectId id) { return id % 3 != 0; };
+  const auto keep2 = [](ObjectId id) { return id % 2 == 0; };
+  std::string actual;
+  for (const NodeProcessingPolicy policy :
+       {NodeProcessingPolicy::kEven, NodeProcessingPolicy::kSimultaneous}) {
+    RTree<2> tree1 = test::BuildPointTree(SetA());
+    RTree<2> tree2 = test::BuildPointTree(SetB());
+    DistanceJoinOptions options;
+    options.node_policy = policy;
+    JoinFilters<2> filters;
+    filters.object_filter1 = keep1;
+    filters.object_filter2 = keep2;
+    DistanceJoin<2> join(tree1, tree2, options, filters);
+    actual += Section(
+        "join_policy" + std::to_string(static_cast<int>(policy)), &join);
+  }
+  {
+    RTree<2> tree1 = test::BuildPointTree(SetA());
+    RTree<2> tree2 = test::BuildPointTree(SetB());
+    SemiJoinOptions options;
+    options.bound = SemiJoinBound::kGlobalAll;
+    JoinFilters<2> filters;
+    filters.object_filter1 = keep1;
+    DistanceSemiJoin<2> semi(tree1, tree2, options, filters);
+    actual += Section("semi_globalall", &semi);
+  }
+  CheckGolden("ladder_object_filters", actual);
+}
+
+const char* BoundName(SemiJoinBound bound) {
+  switch (bound) {
+    case SemiJoinBound::kNone:
+      return "none";
+    case SemiJoinBound::kLocal:
+      return "local";
+    case SemiJoinBound::kGlobalNodes:
+      return "globalnodes";
+    case SemiJoinBound::kGlobalAll:
+      return "globalall";
+  }
+  return "?";
+}
+
+TEST(GoldenStream, LadderSemiBounds) {
+  // Inside2 under every d_max bound strategy and both expansion shapes,
+  // then semi-join estimation (Section 2.3's variant) with either Inside
+  // filter.
+  std::string actual;
+  for (const SemiJoinBound bound :
+       {SemiJoinBound::kNone, SemiJoinBound::kLocal,
+        SemiJoinBound::kGlobalNodes, SemiJoinBound::kGlobalAll}) {
+    for (const NodeProcessingPolicy policy :
+         {NodeProcessingPolicy::kEven, NodeProcessingPolicy::kSimultaneous}) {
+      RTree<2> tree1 = test::BuildPointTree(SetA());
+      RTree<2> tree2 = test::BuildPointTree(SetB());
+      SemiJoinOptions options;
+      options.filter = SemiJoinFilter::kInside2;
+      options.bound = bound;
+      options.join.node_policy = policy;
+      DistanceSemiJoin<2> semi(tree1, tree2, options);
+      actual += Section(std::string("inside2_") + BoundName(bound) +
+                            "_policy" +
+                            std::to_string(static_cast<int>(policy)),
+                        &semi);
+    }
+  }
+  for (const SemiJoinFilter filter :
+       {SemiJoinFilter::kInside1, SemiJoinFilter::kInside2}) {
+    RTree<2> tree1 = test::BuildPointTree(SetA());
+    RTree<2> tree2 = test::BuildPointTree(SetB());
+    SemiJoinOptions options;
+    options.filter = filter;
+    options.join.max_pairs = 150;
+    options.join.estimate_max_distance = true;
+    DistanceSemiJoin<2> semi(tree1, tree2, options);
+    actual += Section(std::string("estimate_") +
+                          (filter == SemiJoinFilter::kInside1 ? "inside1"
+                                                              : "inside2"),
+                      &semi);
+  }
+  CheckGolden("ladder_semi", actual);
+}
+
+TEST(GoldenStream, LadderQuadtree) {
+  // Quadtree regions are not minimal, so the semi-join bounds take the
+  // containment-only d_max; Deferred is the policy the paper recommends
+  // for such structures (Section 2.2.2).
+  const Rect<2> world({0, 0}, {100, 100});
+  QuadtreeOptions tree_options;
+  tree_options.page_size = 512;
+  const auto build = [&](const std::vector<Point<2>>& points) {
+    auto tree = std::make_unique<PointQuadtree<2>>(world, tree_options);
+    for (size_t i = 0; i < points.size(); ++i) tree->Insert(points[i], i);
+    return tree;
+  };
+  std::string actual;
+  {
+    const auto tree1 = build(SetA());
+    const auto tree2 = build(SetB());
+    DistanceJoinOptions options;
+    options.node_policy = NodeProcessingPolicy::kDeferredLeaf;
+    DistanceJoin<2, PointQuadtree<2>> join(*tree1, *tree2, options);
+    actual += Section("join_deferred", &join);
+  }
+  for (const SemiJoinBound bound :
+       {SemiJoinBound::kLocal, SemiJoinBound::kGlobalAll}) {
+    const auto tree1 = build(SetA());
+    const auto tree2 = build(SetB());
+    SemiJoinOptions options;
+    options.bound = bound;
+    options.join.node_policy = NodeProcessingPolicy::kDeferredLeaf;
+    DistanceSemiJoin<2, PointQuadtree<2>> semi(*tree1, *tree2, options);
+    actual += Section(std::string("semi_deferred_") + BoundName(bound), &semi);
+  }
+  CheckGolden("ladder_quadtree", actual);
+}
+
+// Four points near the origin per side, 600 more far away in one shared
+// square: aggressive estimation credits the near leaf pair with an average
+// leaf's worth of results, tightens Dmax to that pair's d_max, runs out of
+// results before the cap and must restart once without estimation
+// (Section 2.2.4).
+std::vector<Point<2>> RestartSet(double near_offset, uint64_t seed) {
+  std::vector<Point<2>> points;
+  for (const double dx : {0.0, 1.0}) {
+    for (const double dy : {0.0, 1.0}) {
+      points.push_back({dx + near_offset, dy + near_offset});
+    }
+  }
+  for (const Point<2>& p : data::GenerateUniform(
+           600, Rect<2>({1000, 1000}, {2000, 2000}), seed)) {
+    points.push_back(p);
+  }
+  return points;
+}
+
+TEST(GoldenStream, LadderRestart) {
+  const std::vector<Point<2>> a = RestartSet(0.0, 7003);
+  const std::vector<Point<2>> b = RestartSet(0.5, 7004);
+  std::string actual;
+  {
+    RTree<2> tree1 = test::BuildPointTree(a, 512, /*bulk=*/false);
+    RTree<2> tree2 = test::BuildPointTree(b, 512, /*bulk=*/false);
+    DistanceJoinOptions options;
+    options.max_pairs = 17;
+    options.estimate_max_distance = true;
+    options.aggressive_estimation = true;
+    DistanceJoin<2> join(tree1, tree2, options);
+    actual += Section("join", &join);
+    EXPECT_EQ(join.stats().restarts, 1u);
+  }
+  {
+    RTree<2> tree1 = test::BuildPointTree(a, 512, /*bulk=*/false);
+    RTree<2> tree2 = test::BuildPointTree(b, 512, /*bulk=*/false);
+    SemiJoinOptions options;
+    options.join.max_pairs = 6;
+    options.join.estimate_max_distance = true;
+    options.join.aggressive_estimation = true;
+    DistanceSemiJoin<2> semi(tree1, tree2, options);
+    actual += Section("semi", &semi);
+    EXPECT_EQ(semi.stats().restarts, 1u);
+  }
+  CheckGolden("ladder_restart", actual);
 }
 
 void AppendNnStats(std::string* out, const IncNearestStats& s) {
