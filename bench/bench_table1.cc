@@ -12,7 +12,6 @@
 
 #include "bench_common.h"
 #include "core/distance_join.h"
-#include "core/env_knobs.h"
 #include "core/shard_merge.h"
 #include "core/within_join.h"
 
@@ -48,10 +47,7 @@ void RunJoin(benchmark::State& state, uint64_t pairs,
     state.counters["dist_calc"] = static_cast<double>(stats.object_distance_calcs);
     state.counters["queue_size"] = static_cast<double>(stats.max_queue_size);
     state.counters["node_io"] = static_cast<double>(stats.node_io);
-    // Rows record the resolved thread count (0 = "environment default"
-    // would make row keys depend on SDJ_THREADS being unset).
-    AddRow({series, produced, seconds, stats, "",
-            env_knobs::ResolveThreads(run_options.num_threads),
+    AddRow({series, produced, seconds, stats, "", run_options.num_threads,
             metrics.Summary()});
   }
 }
@@ -87,8 +83,7 @@ void RunShardedJoin(benchmark::State& state, uint64_t pairs,
     state.counters["dist_calc"] = static_cast<double>(stats.object_distance_calcs);
     state.counters["queue_size"] = static_cast<double>(stats.max_queue_size);
     state.counters["node_io"] = static_cast<double>(stats.node_io);
-    Row row{series, produced, seconds, stats, "",
-            env_knobs::ResolveThreads(run_options.num_threads),
+    Row row{series, produced, seconds, stats, "", run_options.num_threads,
             metrics.Summary()};
     row.shards = join.effective_shards();
     row.shard_merge_pops = join.shard_merge_pops();
@@ -129,8 +124,7 @@ void RunWithin(benchmark::State& state, uint64_t k, const std::string& series) {
     state.counters["dist_calc"] = static_cast<double>(stats.object_distance_calcs);
     state.counters["queue_size"] = static_cast<double>(stats.max_queue_size);
     state.counters["node_io"] = static_cast<double>(stats.node_io);
-    AddRow({series, produced, seconds, stats, "",
-            env_knobs::ResolveThreads(options.num_threads),
+    AddRow({series, produced, seconds, stats, "", options.num_threads,
             metrics.Summary()});
   }
 }

@@ -3,7 +3,8 @@
 # ASan+UBSan config, then the TSan config (tests only; benchmarks are
 # skipped under sanitizers). The TSan stage runs the concurrency-sensitive
 # tests: buffer-pool striping, the worker pool, the pairing heap's per-shard
-# arena build, and the parallel-join determinism suite.
+# arena build, the parallel-join determinism suite, and the golden streams,
+# whose 4-thread fixtures run the join's Classify on pool threads.
 #
 #   scripts/check.sh            # all three configs
 #   scripts/check.sh release    # release only
@@ -115,7 +116,7 @@ run_tsan() {
   echo "=== tsan: configure + build + concurrency tests ==="
   cmake --preset tsan
   cmake --build --preset tsan
-  ctest --preset tsan -R 'BufferPoolConcurrency|ThreadPool|PairingHeap|ParallelJoin'
+  ctest --preset tsan -R 'BufferPoolConcurrency|ThreadPool|PairingHeap|ParallelJoin|GoldenStream'
 }
 
 case "${1:-all}" in

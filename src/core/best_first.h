@@ -45,6 +45,7 @@
 #define SDJOIN_CORE_BEST_FIRST_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -351,10 +352,10 @@ class BestFirstEngine {
   // Runs a pinned node's screened decode (integer code screening on
   // quantized pages, DESIGN.md §17) and charges the screening counters.
   // Returns the number of entries screened out; every one of them is
-  // provably out of range (the classify ladder would verdict kSlotRangeMax),
-  // so the CALLER must charge the same per-entry counters that verdict
-  // charges at its site — the pair stream and all pre-existing counters then
-  // stay byte-identical with screening on or off.
+  // provably out of range (the classify ladder would reject it at its
+  // MINDIST-over-Dmax rung), so the CALLER must charge them as that rung's
+  // verdict — the pair stream and all pre-existing counters then stay
+  // byte-identical with screening on or off.
   size_t ScreenedDecode(const typename Index::PinnedNode& node,
                         const Rect<Dim>& query, double max_distance,
                         simd::Isa isa, RectBatch<Dim>* batch,
@@ -420,111 +421,98 @@ class BestFirstEngine {
     }
   }
 
-  // ---- sharded classify + in-place build (DESIGN.md §10) ----
+  // ---- classify + enqueue (DESIGN.md §10) ----
 
-  // The pure per-candidate acceptance ladder ClassifyAndEnqueue applies —
-  // everything it consults must be immutable across one expansion.
-  struct ClassifySpec {
-    const Rect<Dim>* window1 = nullptr;  // null = no window filter
-    const Rect<Dim>* window2 = nullptr;
-    double min_distance = 0.0;
-    double max_distance = std::numeric_limits<double>::infinity();
-    bool reverse_order = false;
-    // Whether accepted entries need the PairMaxDist upper bound (Dmin
-    // pruning and reverse keys); mirrors the serial ladder's condition.
-    bool need_join_dmax = false;
-    Metric metric = Metric::kEuclidean;
-  };
-
-  // Candidate slot verdicts from the classify pass. Each verdict alone
-  // determines the serial engine's counter increments for its slot.
-  enum SlotState : uint8_t {
-    kSlotFilter = 0,    // window rejected (no distance computed)
-    kSlotRangeMax = 1,  // MINDIST above Dmax (one distance calc)
-    kSlotRangeMin = 2,  // join d_max below Dmin (two distance calcs)
-    kSlotAccept = 3,    // entry built (1 + need_join_dmax calcs)
-    kNumSlotStates = 4,
-  };
-
-  // An accepted slot's scores, kept from classify to build.
+  // An accepted candidate's scores, kept from classify to build.
   struct SlotScore {
     double distance;
     double key;
   };
 
-  // One classify shard's verdict counts, indexed by SlotState. Aligned:
-  // shards write their own tallies concurrently and read the others' after
-  // the rendezvous.
+  // Candidates per verdict of one ClassifyAndEnqueue call, indexed by the
+  // policy's verdict enum.
+  static constexpr size_t kMaxVerdicts = 8;
+  using Tally = std::array<uint64_t, kMaxVerdicts>;
+
+  // One classify shard's tally. Aligned: shards write their own tallies
+  // concurrently and read the others' after the rendezvous.
   struct alignas(64) ShardTally {
-    uint64_t verdicts[kNumSlotStates] = {};
+    Tally verdicts{};
   };
 
-  // Classifies n candidate pairs through the acceptance ladder and enqueues
-  // survivors in slot order. get_a/get_b map a slot to its items; pre_mind,
-  // when non-null, holds PairMinDist per slot from a batch kernel;
-  // object_pair says both sides are exact objects (the Dist. Calc. counter).
+  // Runs n candidate pairs through the policy's acceptance ladder,
+  // `classify(i, &score)`, and enqueues the accepted ones in slot order.
+  // classify returns the policy's verdict enum, which names kAccept and
+  // counts at most kMaxVerdicts values in kCount; get_a/get_b map a slot to its
+  // items. Returns the verdict counts: the policy charges its counters from
+  // them, so a counter never depends on which mode ran.
   //
-  // Each shard classifies its static slot range (util/thread_pool.h) and
-  // tallies the verdicts. The shards then rendezvous, and each builds its
-  // survivors straight into queue storage (PairQueue::BulkWriter) with
-  // seq = base + the accepted slots before it in slot order. A one-shard
-  // batch (num_threads == 1, or fewer than kParallelGrain candidates) runs
-  // the same code inline. Every verdict, entry and seq is a pure function
-  // of its slot and the counters are sums of verdicts, so the stream and
-  // stats are bit-identical to the serial engine's for any thread count.
-  template <typename GetA, typename GetB>
-  void ClassifyAndEnqueue(const ClassifySpec& spec, size_t n,
-                          const double* pre_mind, bool object_pair,
-                          const GetA& get_a, const GetB& get_b) {
-    if (n == 0) return;
+  // `pure` promises that classify reads only state no candidate can change
+  // and writes nothing. Then each shard classifies its static slot range
+  // (util/thread_pool.h) and tallies the verdicts; the shards rendezvous,
+  // and each builds its survivors straight into queue storage
+  // (PairQueue::BulkWriter) with seq = base + the accepted slots before it
+  // in slot order. A one-shard batch (num_threads == 1, or fewer than
+  // kParallelGrain candidates) runs the same code inline. Every verdict,
+  // entry and seq is a pure function of its slot, so the stream and stats
+  // are bit-identical to a serial run's for any thread count.
+  //
+  // Otherwise classify runs in slot order on the calling thread and each
+  // survivor is pushed as it is accepted, so the next candidate sees the
+  // state the acceptance left (estimator, bound tables).
+  template <typename Classify, typename GetA, typename GetB>
+  Tally ClassifyAndEnqueue(bool pure, size_t n, const Classify& classify,
+                           const GetA& get_a, const GetB& get_b) {
+    using Verdict = decltype(classify(size_t{0}, &slot_score_[0]));
+    static_assert(static_cast<size_t>(Verdict::kCount) <= kMaxVerdicts);
+    constexpr size_t kAccept = static_cast<size_t>(Verdict::kAccept);
+    const auto fill = [&](size_t i, const SlotScore& score, uint64_t seq,
+                          Entry& entry) {
+      entry.key = score.key;
+      entry.distance = score.distance;
+      entry.item1 = get_a(i);
+      entry.item2 = get_b(i);
+      entry.seq = seq;
+      FinalizePairMetadata(&entry);
+    };
+    Tally total{};
+    if (n == 0) return total;
+    if (!pure) {
+      for (size_t i = 0; i < n; ++i) {
+        SlotScore score;
+        const size_t verdict = static_cast<size_t>(classify(i, &score));
+        ++total[verdict];
+        if (verdict != kAccept) continue;
+        Entry entry;
+        fill(i, score, next_seq_++, entry);
+        queue_->Push(entry);
+      }
+      return total;
+    }
     const bool parallel = workers_.num_threads() > 1 && n >= kParallelGrain;
     const size_t shards = parallel ? workers_.num_threads() : 1;
-    slot_state_.resize(n);
+    slot_verdict_.resize(n);
     slot_score_.resize(n);
     const uint64_t base_seq = next_seq_;
-    const auto classify = [&](size_t i) -> SlotState {
-      const Item& a = get_a(i);
-      const Item& b = get_b(i);
-      if ((spec.window1 != nullptr && !a.rect.Intersects(*spec.window1)) ||
-          (spec.window2 != nullptr && !b.rect.Intersects(*spec.window2))) {
-        return kSlotFilter;
-      }
-      const double d =
-          pre_mind != nullptr ? pre_mind[i] : PairMinDist(a, b, spec.metric);
-      if (d > spec.max_distance) return kSlotRangeMax;
-      double join_dmax = kInf;
-      if (spec.need_join_dmax) {
-        join_dmax = PairMaxDist(a, b, spec.metric);
-        if (join_dmax < spec.min_distance) return kSlotRangeMin;
-      }
-      slot_score_[i] = {d, spec.reverse_order ? -join_dmax : d};
-      return kSlotAccept;
-    };
     const auto run_shard = [&](size_t shard, size_t begin, size_t end) {
       ShardTally& tally = tallies_[shard];
       tally = ShardTally{};
       for (size_t i = begin; i < end; ++i) {
-        slot_state_[i] = classify(i);
-        ++tally.verdicts[slot_state_[i]];
+        slot_verdict_[i] =
+            static_cast<uint8_t>(classify(i, &slot_score_[i]));
+        ++tally.verdicts[slot_verdict_[i]];
       }
       if (parallel) workers_.Rendezvous();
       size_t first = 0;
       for (size_t s = 0; s < shard; ++s) {
-        first += tallies_[s].verdicts[kSlotAccept];
+        first += tallies_[s].verdicts[kAccept];
       }
       PairQueueWriter<Dim> out =
-          queue_->BulkWriter(shard, first, tally.verdicts[kSlotAccept]);
+          queue_->BulkWriter(shard, first, tally.verdicts[kAccept]);
       uint64_t seq = base_seq + first;
       for (size_t i = begin; i < end; ++i) {
-        if (slot_state_[i] != kSlotAccept) continue;
-        out.Add([&](Entry& entry) {
-          entry.key = slot_score_[i].key;
-          entry.distance = slot_score_[i].distance;
-          entry.item1 = get_a(i);
-          entry.item2 = get_b(i);
-          entry.seq = seq++;
-          FinalizePairMetadata(&entry);
-        });
+        if (slot_verdict_[i] != kAccept) continue;
+        out.Add([&](Entry& entry) { fill(i, slot_score_[i], seq++, entry); });
       }
     };
     queue_->BeginBulk(shards, n);
@@ -534,25 +522,14 @@ class BestFirstEngine {
     } else {
       run_shard(0, 0, n);
     }
-    uint64_t verdicts[kNumSlotStates] = {};
     for (size_t s = 0; s < shards; ++s) {
-      for (int v = 0; v < kNumSlotStates; ++v) {
-        verdicts[v] += tallies_[s].verdicts[v];
+      for (size_t v = 0; v < kMaxVerdicts; ++v) {
+        total[v] += tallies_[s].verdicts[v];
       }
     }
-    const uint64_t accepted = verdicts[kSlotAccept];
-    queue_->EndBulk(accepted);
-    next_seq_ += accepted;
-    stats_.queue_pushes += accepted;
-    stats_.pruned_by_filter += verdicts[kSlotFilter];
-    stats_.pruned_by_range += verdicts[kSlotRangeMax] + verdicts[kSlotRangeMin];
-    stats_.total_distance_calcs += verdicts[kSlotRangeMax] +
-                                   2 * verdicts[kSlotRangeMin] +
-                                   (spec.need_join_dmax ? 2 : 1) * accepted;
-    if (object_pair) {
-      stats_.object_distance_calcs +=
-          verdicts[kSlotRangeMax] + verdicts[kSlotRangeMin] + accepted;
-    }
+    queue_->EndBulk(total[kAccept]);
+    next_seq_ += total[kAccept];
+    return total;
   }
 
   // ---- serialization (DESIGN.md §11) ----
@@ -650,7 +627,7 @@ class BestFirstEngine {
   std::vector<double> mind2_;
   std::vector<Item> left_;
   std::vector<Item> right_;
-  std::vector<uint8_t> slot_state_;
+  std::vector<uint8_t> slot_verdict_;
   std::vector<SlotScore> slot_score_;
   std::vector<ShardTally> tallies_;  // one per classify shard
   code_screen::ScreenScratch<Dim> screen_scratch_;

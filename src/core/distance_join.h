@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "core/best_first.h"
-#include "core/env_knobs.h"
 #include "core/hybrid_queue.h"
 #include "core/join_result.h"
 #include "core/join_stats.h"
@@ -124,16 +123,15 @@ struct DistanceJoinOptions {
   bool use_hybrid_queue = false;
   HybridQueueOptions hybrid;
 
-  // Worker threads for the expansion step (1 = serial). Child-pair scoring
-  // is sharded across threads and merged in slot order, so the output pair
-  // stream — and every statistic — is identical to the serial engine's
-  // (DESIGN.md §10). Only expansions with enough candidates to amortize the
-  // handoff are sharded; configurations that consult shared mutable state
-  // per candidate (estimation, semi-join bounds, Inside2 filtering, object
-  // predicates) always score serially, though still through batch kernels.
-  // 0 = take the SDJ_THREADS environment default (1 when unset); an
-  // explicit value >= 1 always wins (core/env_knobs.h).
-  int num_threads = 0;
+  // Worker threads for the expansion step (1 = serial; below 1 is
+  // kInvalidArgument). Child-pair scoring is sharded across threads and
+  // merged in slot order, so the output pair stream — and every statistic
+  // — is identical to the serial engine's (DESIGN.md §10). Only expansions
+  // with enough candidates to amortize the handoff are sharded;
+  // configurations that consult shared mutable state per candidate
+  // (estimation, semi-join bounds, Inside2 filtering, object predicates)
+  // always classify serially, though still scored by batch kernels.
+  int num_threads = 1;
 
   // Partition the pair space across this many independent engines merged
   // nearest-first by a k-way frontier merge (core/shard_plan.h +
@@ -271,6 +269,7 @@ class DistanceJoin
         // A well-formed range (NaN bounds fail the comparisons too).
         options.min_distance >= 0.0 &&
         options.min_distance <= options.max_distance &&
+        options.num_threads >= 1 &&
         (!options.estimate_max_distance || options.max_pairs > 0) &&
         // The tiered queue buckets nondecreasing keys; reverse keys are
         // negated upper bounds.
@@ -457,7 +456,9 @@ class DistanceJoin
     config.tie_break = options.tie_break;
     config.use_hybrid_queue = options.use_hybrid_queue;
     config.hybrid = options.hybrid;
-    config.num_threads = env_knobs::ResolveThreads(options.num_threads);
+    // A bad count is rejected by the constructor; the pool must still be
+    // constructible until then.
+    config.num_threads = std::max(1, options.num_threads);
     config.stop_token = options.stop_token;
     config.metrics = options.metrics;
     return config;
@@ -483,7 +484,7 @@ class DistanceJoin
 
   PopAction OnPopped(const Entry& e, JoinResult<Dim>* out) {
     if (estimator_.has_value()) {
-      estimator_->OnDequeue(KeyOf(e));
+      estimator_->OnDequeue(KeyOf(e.item1, e.item2));
     }
     // Global cut-offs: with ascending keys, once the head violates the
     // distance window nothing behind it can produce results.
@@ -553,6 +554,13 @@ class DistanceJoin
     } else {
       estimator_.reset();
     }
+    // Which upper bounds the ladder needs depends on the estimator only
+    // through its presence, so it is fixed until the next reset.
+    need_join_dmax_ = options_.min_distance > 0.0 ||
+                      (estimator_.has_value() && !semi_estimation_) ||
+                      options_.reverse_order;
+    need_semi_dmax_ = semi_bound_ != SemiJoinBound::kNone ||
+                      (estimator_.has_value() && semi_estimation_);
   }
 
   void Seed() {
@@ -562,7 +570,10 @@ class DistanceJoin
     if (!this->RootItem(tree1_, &root1) || !this->RootItem(tree2_, &root2)) {
       return;
     }
-    TryEnqueue(root1, root2);
+    EnqueuePairs(
+        1, /*pre_mind=*/nullptr, /*semi_hint=*/nullptr, /*object_pair=*/false,
+        /*screened=*/0, [&](size_t) -> const Item& { return root1; },
+        [&](size_t) -> const Item& { return root2; });
   }
 
   // ---- small helpers ----
@@ -619,12 +630,10 @@ class DistanceJoin
     }
   }
 
-  static MaxDistEstimator::PairKey KeyOf(const Entry& e) {
+  static MaxDistEstimator::PairKey KeyOf(const Item& a, const Item& b) {
     return MaxDistEstimator::PairKey{
-        EncodeEstimatorItem(static_cast<uint8_t>(e.item1.kind), e.item1.level,
-                            e.item1.ref),
-        EncodeEstimatorItem(static_cast<uint8_t>(e.item2.kind), e.item2.level,
-                            e.item2.ref)};
+        EncodeEstimatorItem(static_cast<uint8_t>(a.kind), a.level, a.ref),
+        EncodeEstimatorItem(static_cast<uint8_t>(b.kind), b.level, b.ref)};
   }
 
   void Fill(const Entry& e, JoinResult<Dim>* out) const {
@@ -696,117 +705,131 @@ class DistanceJoin
                            : static_cast<uint64_t>(product);
   }
 
-  // Creates, filters, and enqueues the pair (a, b). `semi_dmax_hint`, when
-  // non-negative, carries an already computed SemiPairMaxDist(a, b).
-  void TryEnqueue(const Item& a, const Item& b,
-                  double semi_dmax_hint = -1.0) {
-    TryEnqueueScored(a, b, /*pre_mindist=*/-1.0, semi_dmax_hint);
-  }
+  // ---- the acceptance ladder (Figure 3's pair creation) ----
 
-  // TryEnqueue with `pre_mindist`, when non-negative, carrying
-  // PairMinDist(a, b) from a batch kernel (bit-identical to the scalar call
-  // by the rect_batch.h contract). Distance-calc counters are incremented at
-  // the same decision points either way, so statistics do not depend on who
-  // computed the value.
-  void TryEnqueueScored(const Item& a, const Item& b, double pre_mindist,
-                        double semi_dmax_hint) {
-    // Selection criteria (Section 2.2.5): spatial windows prune nodes and
-    // objects alike; attribute predicates apply to objects only.
-    if (filters_.window1.has_value() &&
-        !a.rect.Intersects(*filters_.window1)) {
-      ++stats_.pruned_by_filter;
-      return;
+  // Where Classify stopped a candidate pair, one value per rejecting rung
+  // plus kAccept. The verdict alone fixes what the candidate is charged
+  // (EnqueuePairs).
+  enum class Verdict : uint8_t {
+    kAccept,        // entry built and enqueued
+    kFiltered,      // outside a window or failing an object predicate
+    kReported,      // Inside2: its first object is already in S_o
+    kOverMax,       // MINDIST above the query's Dmax
+    kOverEstimate,  // MINDIST above the estimated Dmax
+    kUnderMin,      // join d_max below the (estimated) Dmin
+    kOverBound,     // MINDIST above the semi-join d_max bound of item 1
+    kCount,
+  };
+
+  // No precomputed score: Classify computes it.
+  static constexpr double kNoScore = -1.0;
+
+  // Classifies the candidate pair (a, b), rung by rung in the paper's
+  // order; on kAccept, *score gets the entry's distance and key.
+  // `pre_mind` / `semi_hint`, unless kNoScore, carry PairMinDist(a, b) /
+  // SemiDmax(a, b) from a batch kernel (bit-identical to the scalar calls by
+  // the rect_batch.h contract). Charges no counter. Under FastPathActive()
+  // it reads only state no candidate changes, so the core may run it on
+  // pool threads; otherwise it updates the bound tables and the estimator.
+  Verdict Classify(const Item& a, const Item& b, double pre_mind,
+                   double semi_hint, typename Base::SlotScore* score) {
+    // 1. Selection criteria (Section 2.2.5): spatial windows prune nodes
+    // and objects alike; attribute predicates apply to objects only.
+    if ((filters_.window1.has_value() &&
+         !a.rect.Intersects(*filters_.window1)) ||
+        (filters_.window2.has_value() &&
+         !b.rect.Intersects(*filters_.window2)) ||
+        (a.is_object_like() && filters_.object_filter1 != nullptr &&
+         !filters_.object_filter1(a.ref)) ||
+        (b.is_object_like() && filters_.object_filter2 != nullptr &&
+         !filters_.object_filter2(b.ref))) {
+      return Verdict::kFiltered;
     }
-    if (filters_.window2.has_value() &&
-        !b.rect.Intersects(*filters_.window2)) {
-      ++stats_.pruned_by_filter;
-      return;
-    }
-    if (a.is_object_like() && filters_.object_filter1 != nullptr &&
-        !filters_.object_filter1(a.ref)) {
-      ++stats_.pruned_by_filter;
-      return;
-    }
-    if (b.is_object_like() && filters_.object_filter2 != nullptr &&
-        !filters_.object_filter2(b.ref)) {
-      ++stats_.pruned_by_filter;
-      return;
-    }
-    // Inside2: never create pairs for already-reported first objects.
+    // 2. Inside2: never create pairs for already-reported first objects.
     if (semi_filter_ == SemiJoinFilter::kInside2 && a.is_object_like() &&
         IsReported(a.ref)) {
-      ++stats_.filtered_reported;
-      return;
+      return Verdict::kReported;
     }
-
+    // 3. MINDIST against the effective Dmax.
     const double d =
-        pre_mindist >= 0.0 ? pre_mindist : PairMinDist(a, b, options_.metric);
-    ++stats_.total_distance_calcs;
-    if (a.kind == JoinItemKind::kObject && b.kind == JoinItemKind::kObject) {
-      ++stats_.object_distance_calcs;
-    }
-
+        pre_mind != kNoScore ? pre_mind : PairMinDist(a, b, options_.metric);
     const double eff_max = EffectiveMax();
     if (d > eff_max) {
-      ++(estimator_.has_value() && eff_max < options_.max_distance
-             ? stats_.pruned_by_estimate
-             : stats_.pruned_by_range);
-      return;
+      return estimator_.has_value() && eff_max < options_.max_distance
+                 ? Verdict::kOverEstimate
+                 : Verdict::kOverMax;
     }
-
-    const bool need_join_dmax = options_.min_distance > 0.0 ||
-                                (estimator_.has_value() && !semi_estimation_) ||
-                                options_.reverse_order;
-    const bool need_semi_dmax =
-        semi_bound_ != SemiJoinBound::kNone ||
-        (estimator_.has_value() && semi_estimation_);
+    // 4. Every result from this pair lies below Dmin (Figure 5), or below
+    // the reverse-mode minimum-distance estimate.
     double join_dmax = kInf;
-    if (need_join_dmax) {
+    if (need_join_dmax_) {
       join_dmax = PairMaxDist(a, b, options_.metric);
-      ++stats_.total_distance_calcs;
-      if (join_dmax < EffectiveMin()) {
-        // Every result from this pair lies below Dmin (Figure 5), or below
-        // the reverse-mode minimum-distance estimate.
-        ++stats_.pruned_by_range;
-        return;
-      }
+      if (join_dmax < EffectiveMin()) return Verdict::kUnderMin;
     }
-    double semi_dmax = semi_dmax_hint;
-    if (need_semi_dmax && semi_dmax < 0.0) {
-      semi_dmax = SemiDmax(a, b);
-      ++stats_.total_distance_calcs;
-    }
-
+    // 5. The semi-join d_max bound of item 1, then its update.
+    double semi_dmax = semi_hint;
+    if (need_semi_dmax_ && semi_dmax == kNoScore) semi_dmax = SemiDmax(a, b);
     if (semi_bound_ != SemiJoinBound::kNone) {
-      if (d > BoundOf(a)) {
-        ++stats_.pruned_by_bound;
-        return;
-      }
+      if (d > BoundOf(a)) return Verdict::kOverBound;
       UpdateBound(a, semi_dmax);
     }
-
-    Entry e;
-    e.distance = d;
-    e.item1 = a;
-    e.item2 = b;
-    e.seq = next_seq_++;
-    FinalizePairMetadata(&e);
-    e.key = options_.reverse_order ? -join_dmax : d;
-
+    // 6. The estimator sees every enqueued pair (Section 2.2.4).
     if (estimator_.has_value()) {
       if (options_.reverse_order) {
         // Negated mapping: the estimator's falling maximum of (-distance)
         // is a rising minimum distance.
-        estimator_->OnEnqueue(KeyOf(e), -join_dmax, -d, CountLowerBound(a, b),
-                              -options_.max_distance);
+        estimator_->OnEnqueue(KeyOf(a, b), -join_dmax, -d,
+                              CountLowerBound(a, b), -options_.max_distance);
       } else {
-        const double est_dmax = semi_estimation_ ? semi_dmax : join_dmax;
-        estimator_->OnEnqueue(KeyOf(e), d, est_dmax, CountLowerBound(a, b),
-                              options_.min_distance);
+        estimator_->OnEnqueue(KeyOf(a, b), d,
+                              semi_estimation_ ? semi_dmax : join_dmax,
+                              CountLowerBound(a, b), options_.min_distance);
       }
     }
-    queue_->Push(e);
-    ++stats_.queue_pushes;
+    *score = {d, options_.reverse_order ? -join_dmax : d};
+    return Verdict::kAccept;
+  }
+
+  // Classifies and enqueues n candidate pairs — get_a/get_b map a slot to
+  // its items; pre_mind / semi_hint, when non-null, hold per-slot scores —
+  // then charges every ladder counter once from the verdict counts.
+  // `object_pair` says both sides are exact objects (the Dist. Calc.
+  // counter). The `screened` entries integer code screening dropped count
+  // as kOverMax: the screen drops only what that rung would.
+  template <typename GetA, typename GetB>
+  void EnqueuePairs(size_t n, const double* pre_mind, const double* semi_hint,
+                    bool object_pair, size_t screened, const GetA& get_a,
+                    const GetB& get_b) {
+    typename Base::Tally tally = this->ClassifyAndEnqueue(
+        FastPathActive(), n,
+        [&](size_t i, typename Base::SlotScore* score) {
+          return Classify(get_a(i), get_b(i),
+                          pre_mind != nullptr ? pre_mind[i] : kNoScore,
+                          semi_hint != nullptr ? semi_hint[i] : kNoScore,
+                          score);
+        },
+        get_a, get_b);
+    const auto count = [&](Verdict v) {
+      return tally[static_cast<size_t>(v)];
+    };
+    const uint64_t over_max = count(Verdict::kOverMax) + screened;
+    const uint64_t under_min = count(Verdict::kUnderMin);
+    // Candidates past rung 4: both upper bounds were due.
+    const uint64_t past_min =
+        count(Verdict::kOverBound) + count(Verdict::kAccept);
+    // Candidates whose MINDIST was taken.
+    const uint64_t scored =
+        over_max + count(Verdict::kOverEstimate) + under_min + past_min;
+    stats_.queue_pushes += count(Verdict::kAccept);
+    stats_.pruned_by_filter += count(Verdict::kFiltered);
+    stats_.filtered_reported += count(Verdict::kReported);
+    stats_.pruned_by_range += over_max + under_min;
+    stats_.pruned_by_estimate += count(Verdict::kOverEstimate);
+    stats_.pruned_by_bound += count(Verdict::kOverBound);
+    stats_.total_distance_calcs +=
+        scored + (need_join_dmax_ ? under_min + past_min : 0) +
+        (need_semi_dmax_ && semi_hint == nullptr ? past_min : 0);
+    if (object_pair) stats_.object_distance_calcs += scored;
   }
 
   // ---- node expansion ----
@@ -821,15 +844,13 @@ class DistanceJoin
     if (n1 && n2) {
       switch (options_.node_policy) {
         case NodeProcessingPolicy::kBasic:
-          return ProcessNode1(e);
+          return ProcessNode(e, false);
         case NodeProcessingPolicy::kEven:
           // Expand the node at the shallower level; ties to item 1.
-          return e.item2.level > e.item1.level ? ProcessNode2(e)
-                                               : ProcessNode1(e);
+          return ProcessNode(e, e.item2.level > e.item1.level);
         case NodeProcessingPolicy::kSimultaneous:
           if (e.item1.level == e.item2.level) return ProcessBoth(e);
-          return e.item2.level > e.item1.level ? ProcessNode2(e)
-                                               : ProcessNode1(e);
+          return ProcessNode(e, e.item2.level > e.item1.level);
         case NodeProcessingPolicy::kDeferredLeaf: {
           bool leaf1;
           bool leaf2;
@@ -846,14 +867,13 @@ class DistanceJoin
             leaf2 = node2.is_leaf();
           }
           if (leaf1 && leaf2) return ProcessBoth(e);
-          if (leaf1) return ProcessNode2(e);
-          if (leaf2) return ProcessNode1(e);
-          return e.item2.level > e.item1.level ? ProcessNode2(e)
-                                               : ProcessNode1(e);
+          if (leaf1) return ProcessNode(e, true);
+          if (leaf2) return ProcessNode(e, false);
+          return ProcessNode(e, e.item2.level > e.item1.level);
         }
       }
     }
-    return n1 ? ProcessNode1(e) : ProcessNode2(e);
+    return ProcessNode(e, !n1);
   }
 
   // ---- batched scoring and parallel expansion (DESIGN.md §10) ----
@@ -915,159 +935,85 @@ class DistanceJoin
            filters_.object_filter2 == nullptr;
   }
 
-  // TryEnqueue's need_join_dmax condition with no estimator present.
-  bool NeedJoinDmaxFast() const {
-    return options_.min_distance > 0.0 || options_.reverse_order;
-  }
-
-  // Integer code screening may drop an entry only when the classify ladder
-  // is guaranteed to reach its `d > max_distance` rung for that entry with
-  // exactly the counter charges the caller reproduces: the fast-path ladder
-  // must be in effect, no window may claim the prune first, max_distance
-  // must be the finite, fixed bound screening was derived against (no
-  // estimator — implied by FastPathActive), and forward order (reverse
-  // keeps far pairs). Quantized-vs-raw pages are resolved per node by
-  // DecodeScreened itself.
+  // Integer code screening may drop an entry only when Classify is
+  // guaranteed to reject it as kOverMax: no earlier rung may claim it (no
+  // window; FastPathActive rules out object predicates and Inside2),
+  // max_distance must be the finite, fixed bound screening was derived
+  // against (no estimator — implied by FastPathActive), and forward order
+  // (reverse keeps far pairs). Quantized-vs-raw pages are resolved per node
+  // by DecodeScreened itself.
   bool ScreenEligible() const {
     return options_.screen_codes && FastPathActive() &&
            !filters_.window1.has_value() && !filters_.window2.has_value() &&
            std::isfinite(options_.max_distance) && !options_.reverse_order;
   }
 
-  // The core ClassifyAndEnqueue's spec under FastPathActive: the immutable
-  // subset of the join's acceptance ladder.
-  typename Base::ClassifySpec FastSpec() const {
-    typename Base::ClassifySpec spec;
-    spec.window1 =
-        filters_.window1.has_value() ? &*filters_.window1 : nullptr;
-    spec.window2 =
-        filters_.window2.has_value() ? &*filters_.window2 : nullptr;
-    spec.min_distance = options_.min_distance;
-    spec.max_distance = options_.max_distance;
-    spec.reverse_order = options_.reverse_order;
-    spec.need_join_dmax = NeedJoinDmaxFast();
-    spec.metric = options_.metric;
-    return spec;
-  }
-
-  // PROCESSNODE1 (Figure 3): pair every entry of item 1's node with item 2.
-  // The node is decoded into a rectangle batch once, scored by MinDistBatch,
-  // and survivors enqueued in entry order (sharded when eligible and large).
-  bool ProcessNode1(const Entry& e) {
+  // PROCESSNODE (Figure 3): pair every entry of one item's node with the
+  // other item — item 2's node when `second`, else item 1's. The node is
+  // decoded into a rectangle batch once, scored by MinDistBatch, and the
+  // children go through the acceptance ladder in entry order.
+  bool ProcessNode(const Entry& e, bool second) {
+    const Index& tree = second ? tree2_ : tree1_;
+    const Item& node = second ? e.item2 : e.item1;
+    const Item& other = second ? e.item1 : e.item2;
+    RectBatch<Dim>& batch = second ? batch2_ : batch1_;
+    std::vector<uint64_t>& refs = second ? refs2_ : refs1_;
+    std::vector<double>& mind = second ? mind2_ : mind1_;
+    std::vector<Item>& children = second ? right_ : left_;
     bool leaf;
     int level;
     size_t screened = 0;
     if (ScreenEligible()) {
-      if (!PinDecodeScreened(tree1_, e.item1.ref, e.item2.rect,
-                             options_.max_distance, isa_, &batch1_, &refs1_,
+      if (!PinDecodeScreened(tree, node.ref, other.rect,
+                             options_.max_distance, isa_, &batch, &refs,
                              &leaf, &level, &screened)) {
         return MarkIoError();
       }
-    } else if (!PinDecode(tree1_, e.item1.ref, &batch1_, &refs1_, &leaf,
-                          &level)) {
+    } else if (!PinDecode(tree, node.ref, &batch, &refs, &leaf, &level)) {
       return MarkIoError();
     }
     ++stats_.nodes_expanded;
-    if (estimator_.has_value() && semi_estimation_) {
+    if (!second && estimator_.has_value() && semi_estimation_) {
       estimator_->MarkFirstItemProcessed(EncodeEstimatorItem(
-          static_cast<uint8_t>(e.item1.kind), e.item1.level, e.item1.ref));
+          static_cast<uint8_t>(node.kind), node.level, node.ref));
     }
-    const size_t n = batch1_.size();
-    mind1_.resize(n);
-    MinDistBatch(batch1_, e.item2.rect, options_.metric, mind1_.data(), 0, n,
-                 isa_);
+    size_t n = batch.size();
+    mind.resize(n);
+    MinDistBatch(batch, other.rect, options_.metric, mind.data(), 0, n, isa_);
     ++stats_.batch_kernel_invocations;
-    this->BuildChildItems(batch1_, refs1_, leaf, level, ObjectKind(), &left_);
-    if (FastPathActive()) {
-      const bool object_pair = leaf && ObjectKind() == JoinItemKind::kObject &&
-                               e.item2.kind == JoinItemKind::kObject;
-      // Screened-out entries would have reached the ladder's range rung:
-      // charge exactly what kSlotRangeMax charges there.
-      if (screened > 0) {
-        stats_.total_distance_calcs += screened;
-        stats_.pruned_by_range += screened;
-        if (object_pair) stats_.object_distance_calcs += screened;
-      }
-      this->ClassifyAndEnqueue(
-          FastSpec(), n, mind1_.data(), object_pair,
-          [&](size_t i) -> const Item& { return left_[i]; },
-          [&](size_t) -> const Item& { return e.item2; });
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        TryEnqueueScored(left_[i], e.item2, mind1_[i],
-                         /*semi_dmax_hint=*/-1.0);
-      }
-    }
-    return true;
-  }
-
-  // PROCESSNODE2: same with the items exchanged. For the semi-join this is
-  // where the Local bound applies: all new pairs share the first item, so the
-  // smallest d_max across the node's entries prunes its siblings
-  // (Section 4.2.1).
-  bool ProcessNode2(const Entry& e) {
-    bool leaf;
-    int level;
-    size_t screened = 0;
-    if (ScreenEligible()) {
-      if (!PinDecodeScreened(tree2_, e.item2.ref, e.item1.rect,
-                             options_.max_distance, isa_, &batch2_, &refs2_,
-                             &leaf, &level, &screened)) {
-        return MarkIoError();
-      }
-    } else if (!PinDecode(tree2_, e.item2.ref, &batch2_, &refs2_, &leaf,
-                          &level)) {
-      return MarkIoError();
-    }
-    ++stats_.nodes_expanded;
-    const size_t n = batch2_.size();
-    mind2_.resize(n);
-    MinDistBatch(batch2_, e.item1.rect, options_.metric, mind2_.data(), 0, n,
-                 isa_);
-    ++stats_.batch_kernel_invocations;
-    this->BuildChildItems(batch2_, refs2_, leaf, level, ObjectKind(), &right_);
-    if (semi_bound_ == SemiJoinBound::kNone) {
-      if (FastPathActive()) {
-        const bool object_pair = leaf &&
-                                 ObjectKind() == JoinItemKind::kObject &&
-                                 e.item1.kind == JoinItemKind::kObject;
-        if (screened > 0) {
-          stats_.total_distance_calcs += screened;
-          stats_.pruned_by_range += screened;
-          if (object_pair) stats_.object_distance_calcs += screened;
-        }
-        this->ClassifyAndEnqueue(
-            FastSpec(), n, mind2_.data(), object_pair,
-            [&](size_t) -> const Item& { return e.item1; },
-            [&](size_t i) -> const Item& { return right_[i]; });
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          TryEnqueueScored(e.item1, right_[i], mind2_[i],
-                           /*semi_dmax_hint=*/-1.0);
-        }
-      }
-      return true;
-    }
-    // First pass: each child's semi d_max (one kernel — the children of a
-    // node share a kind) and their minimum.
-    semi_dmax_.resize(n);
+    this->BuildChildItems(batch, refs, leaf, level, ObjectKind(), &children);
     const JoinItemKind child_kind = leaf ? ObjectKind() : JoinItemKind::kNode;
-    SemiDmaxBatch(e.item1, batch2_, child_kind, semi_dmax_.data());
-    double best = BoundOf(e.item1);
-    for (size_t i = 0; i < n; ++i) {
-      ++stats_.total_distance_calcs;
-      best = std::min(best, semi_dmax_[i]);
-    }
-    UpdateBound(e.item1, best);
-    // Second pass: prune by the shared bound, then enqueue with both scores.
-    for (size_t i = 0; i < n; ++i) {
-      ++stats_.total_distance_calcs;
-      if (mind2_[i] > best) {
-        ++stats_.pruned_by_bound;
-        continue;
+    const bool object_pair = child_kind == JoinItemKind::kObject &&
+                             other.kind == JoinItemKind::kObject;
+    const double* semi_hint = nullptr;
+    if (second && semi_bound_ != SemiJoinBound::kNone) {
+      // The Local bound (Section 4.2.1): every new pair shares item 1, so
+      // the smallest d_max across the node's entries (one kernel — the
+      // children of a node share a kind) prunes their siblings. Survivors
+      // are compacted in entry order and carry their d_max as a hint.
+      semi_dmax_.resize(n);
+      SemiDmaxBatch(other, batch, child_kind, semi_dmax_.data());
+      double best = BoundOf(other);
+      for (size_t i = 0; i < n; ++i) best = std::min(best, semi_dmax_[i]);
+      UpdateBound(other, best);
+      // One d_max and one comparison against `best` per entry.
+      stats_.total_distance_calcs += 2 * n;
+      size_t kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (mind[i] > best) continue;
+        children[kept] = children[i];
+        mind[kept] = mind[i];
+        semi_dmax_[kept] = semi_dmax_[i];
+        ++kept;
       }
-      TryEnqueueScored(e.item1, right_[i], mind2_[i], semi_dmax_[i]);
+      stats_.pruned_by_bound += n - kept;
+      n = kept;
+      semi_hint = semi_dmax_.data();
     }
+    EnqueuePairs(
+        n, mind.data(), semi_hint, object_pair, screened,
+        [&](size_t i) -> const Item& { return second ? other : children[i]; },
+        [&](size_t i) -> const Item& { return second ? children[i] : other; });
     return true;
   }
 
@@ -1122,15 +1068,10 @@ class DistanceJoin
     MinDistBatch(batch2_, e.item1.rect, options_.metric, mind2_.data(), 0,
                  batch2_.size(), isa_);
     stats_.batch_kernel_invocations += 2;
-    // Screened-out entries are exactly entries FilterSide would have
-    // rejected (their MINDIST exceeds eff_max == options_.max_distance):
-    // charge its per-entry counters for them.
-    if (screened1 + screened2 > 0) {
-      stats_.total_distance_calcs += screened1 + screened2;
-      stats_.pruned_by_range += screened1 + screened2;
-    }
-    FilterSide(batch1_, refs1_, mind1_, leaf1, level1, eff_max, &left_);
-    FilterSide(batch2_, refs2_, mind2_, leaf2, level2, eff_max, &right_);
+    FilterSide(batch1_, refs1_, mind1_, leaf1, level1, eff_max, screened1,
+               &left_);
+    FilterSide(batch2_, refs2_, mind2_, leaf2, level2, eff_max, screened2,
+               &right_);
     const auto by_lo = [](const Item& a, const Item& b) {
       return a.rect.lo[0] < b.rect.lo[0];
     };
@@ -1162,41 +1103,37 @@ class DistanceJoin
         ++j;
       }
     }
-    if (FastPathActive()) {
-      const bool object_pair =
-          leaf1 && leaf2 && ObjectKind() == JoinItemKind::kObject;
-      this->ClassifyAndEnqueue(
-          FastSpec(), sweep_pairs_.size(), /*pre_mind=*/nullptr, object_pair,
-          [&](size_t k) -> const Item& { return left_[sweep_pairs_[k].first]; },
-          [&](size_t k) -> const Item& {
-            return right_[sweep_pairs_[k].second];
-          });
-    } else {
-      for (const auto& [li, ri] : sweep_pairs_) {
-        TryEnqueue(left_[li], right_[ri]);
-      }
-    }
+    EnqueuePairs(
+        sweep_pairs_.size(), /*pre_mind=*/nullptr, /*semi_hint=*/nullptr,
+        /*object_pair=*/leaf1 && leaf2 &&
+            ObjectKind() == JoinItemKind::kObject,
+        /*screened=*/0,
+        [&](size_t k) -> const Item& { return left_[sweep_pairs_[k].first]; },
+        [&](size_t k) -> const Item& {
+          return right_[sweep_pairs_[k].second];
+        });
     return true;
   }
 
   // Keeps entries whose batch MINDIST against the partner region is within
   // eff_max, materializing survivors as Items (the within-filter of
-  // Figure 4; counters exactly as in the per-child serial loop).
+  // Figure 4). The `screened` entries code screening dropped are exactly
+  // entries this filter would reject (their MINDIST exceeds eff_max ==
+  // options_.max_distance), so they are charged like its rejects.
   void FilterSide(const RectBatch<Dim>& batch,
                   const std::vector<uint64_t>& refs,
                   const std::vector<double>& mind, bool leaf, int level,
-                  double eff_max, std::vector<Item>* out) {
+                  double eff_max, size_t screened, std::vector<Item>* out) {
     out->clear();
     out->reserve(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-      ++stats_.total_distance_calcs;
       if (mind[i] <= eff_max) {
         out->push_back(
             this->MakeChildItem(batch, refs, i, leaf, level, ObjectKind()));
-      } else {
-        ++stats_.pruned_by_range;
       }
     }
+    stats_.total_distance_calcs += batch.size() + screened;
+    stats_.pruned_by_range += batch.size() - out->size() + screened;
   }
 
   // ---- obr resolution (Figure 3, lines 7-14) ----
@@ -1276,6 +1213,12 @@ class DistanceJoin
   const bool minimal_regions_;
   // SIMD path for the batched kernels, resolved once at construction.
   const simd::Isa isa_;
+
+  // The ladder's upper bounds: join d_max (Dmin pruning, reverse keys,
+  // join estimation) and semi-join d_max (bounds, semi estimation).
+  // Derived in ResetEstimator.
+  bool need_join_dmax_ = false;
+  bool need_semi_dmax_ = false;
 
   // Join-specific expansion scratch (shared scratch lives in the core).
   std::vector<double> semi_dmax_;

@@ -1,11 +1,10 @@
-// Process-wide execution knobs resolved from the environment
-// (DESIGN.md §18), mirroring SDJ_KERNEL / SDJ_SCREEN: an option struct
-// value of 0 means "unset — take the environment default", any value >= 1
-// is an explicit caller choice and always wins. check.sh sweeps whole test
-// runs through configurations (e.g. SDJ_SHARDS=4) without per-call flags.
+// The process-wide shard-count knob resolved from the environment
+// (DESIGN.md §18), mirroring SDJ_KERNEL / SDJ_SCREEN: an options-struct
+// `shards` of 0 means "unset — take the environment default", any value
+// >= 1 is an explicit caller choice and always wins. check.sh sweeps whole
+// test runs through SDJ_SHARDS=4 without per-call flags.
 //
 //   SDJ_SHARDS=<n>   default shard count for the Sharded* wrappers
-//   SDJ_THREADS=<n>  default classify thread count for every engine
 //
 // Unset, empty, or unparsable values fall back to 1 (serial), matching the
 // historical defaults. The environment is read once per process (static
@@ -39,21 +38,10 @@ inline int DefaultShards() {
   return cached;
 }
 
-// Environment default for the thread count (SDJ_THREADS; 1 when unset).
-inline int DefaultThreads() {
-  static const int cached = internal::ParsePositive(
-      std::getenv("SDJ_THREADS"), /*fallback=*/1);
-  return cached;
-}
-
 // Resolves an options-struct value: 0 = unset (environment default wins),
 // >= 1 explicit. Negative values are treated as unset.
 inline int ResolveShards(int requested) {
   return requested >= 1 ? requested : DefaultShards();
-}
-
-inline int ResolveThreads(int requested) {
-  return requested >= 1 ? requested : DefaultThreads();
 }
 
 }  // namespace sdj::env_knobs

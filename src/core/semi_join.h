@@ -45,6 +45,18 @@ struct SemiJoinOptions {
   }
 };
 
+// The engine options a semi-join runs with. Without a filter or bound the
+// query is no semi-join: its engine is built unseeded on one shard, so the
+// adapter rejects it before any page is read.
+inline DistanceJoinOptions SemiEngineOptions(const SemiJoinOptions& options) {
+  DistanceJoinOptions join = options.join;
+  if (!options.IsSemiJoin()) {
+    join.defer_seed = true;
+    join.shards = 1;
+  }
+  return join;
+}
+
 // Incremental distance semi-join iterator. Usage mirrors DistanceJoin:
 //
 //   DistanceSemiJoin<2> semi(stores, warehouses, options);
@@ -56,7 +68,7 @@ class DistanceSemiJoin : public DistanceJoin<Dim, Index> {
   DistanceSemiJoin(const Index& tree1, const Index& tree2,
                    const SemiJoinOptions& options,
                    JoinFilters<Dim> filters = JoinFilters<Dim>{})
-      : DistanceJoin<Dim, Index>(tree1, tree2, options.join,
+      : DistanceJoin<Dim, Index>(tree1, tree2, SemiEngineOptions(options),
                                  std::move(filters), options.filter,
                                  options.bound) {
     if (!options.IsSemiJoin()) this->RejectOptions();

@@ -689,7 +689,10 @@ class ShardedDistanceJoin
                       SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
                       SemiJoinBound semi_bound = SemiJoinBound::kNone)
       : BaseT({&tree1.pool(), &tree2.pool()}) {
-    const bool eligible = !options.estimate_max_distance &&
+    // Invalid options run unplanned, so the passthrough engine reports
+    // them before any shard is built.
+    const bool eligible = options.num_threads >= 1 &&
+                          !options.estimate_max_distance &&
                           !options.reverse_order &&
                           options.exact_object_distance == nullptr &&
                           filters.object_filter1 == nullptr &&
@@ -721,9 +724,9 @@ class ShardedDistanceSemiJoin : public ShardedDistanceJoin<Dim, Index> {
   ShardedDistanceSemiJoin(const Index& tree1, const Index& tree2,
                           const SemiJoinOptions& options,
                           JoinFilters<Dim> filters = JoinFilters<Dim>{})
-      : ShardedDistanceJoin<Dim, Index>(tree1, tree2, options.join,
-                                        std::move(filters), options.filter,
-                                        options.bound) {
+      : ShardedDistanceJoin<Dim, Index>(
+            tree1, tree2, SemiEngineOptions(options), std::move(filters),
+            options.filter, options.bound) {
     if (!options.IsSemiJoin()) this->RejectOptions();
   }
 };

@@ -32,8 +32,9 @@ struct WithinJoinOptions {
   TieBreakPolicy tie_break = TieBreakPolicy::kDepthFirst;
   bool use_hybrid_queue = false;  // Section 3.2 tiered queue
   HybridQueueOptions hybrid;
-  // Sharded classify, output-identical to serial. 0 = SDJ_THREADS default.
-  int num_threads = 0;
+  // Sharded classify, output-identical to serial; below 1 is
+  // kInvalidArgument.
+  int num_threads = 1;
   // Shard count for the ShardedWithinJoin wrapper (DESIGN.md §18); a raw
   // IncWithinJoin ignores it. 0 = SDJ_SHARDS default (1 when unset).
   int shards = 0;

@@ -737,6 +737,21 @@ TEST(OptionValidation, BadOptionsYieldInvalidArgumentNotAbort) {
     o->estimate_max_distance = true;
     f->window1 = Rect<2>({0.0, 0.0}, {500.0, 500.0});
   });
+  for (const int threads : {0, -1}) {
+    join_case("thread count below 1", [&](DistanceJoinOptions* o, F*) {
+      o->num_threads = threads;
+    });
+    DistanceJoinOptions options;
+    options.num_threads = threads;
+    options.shards = 2;
+    ShardedDistanceJoin<2> sharded(ta, tb, options);
+    expect_invalid(&sharded, "sharded thread count below 1");
+    WithinJoinOptions within;
+    within.epsilon = 10.0;
+    within.num_threads = threads;
+    IncWithinJoin<2> join(ta, tb, within);
+    expect_invalid(&join, "within thread count below 1");
+  }
   {
     SemiJoinOptions options;
     options.filter = SemiJoinFilter::kInside1;
@@ -755,14 +770,19 @@ TEST(OptionValidation, BadOptionsYieldInvalidArgumentNotAbort) {
     expect_invalid(&semi, "semi bound + second-relation filter");
   }
   {
+    // Rejected before any page is read or any pair is made.
     SemiJoinOptions options;
     options.filter = SemiJoinFilter::kNone;
     DistanceSemiJoin<2> semi(ta, tb, options);
     expect_invalid(&semi, "semi filter kNone");
-    for (const int shards : {1, 2}) {
+    EXPECT_EQ(semi.stats().node_accesses, 0u);
+    EXPECT_EQ(semi.stats().queue_pushes, 0u);
+    for (const int shards : {1, 2, 4}) {
       options.join.shards = shards;
       ShardedDistanceSemiJoin<2> sharded(ta, tb, options);
       expect_invalid(&sharded, "sharded semi filter kNone");
+      EXPECT_EQ(sharded.stats().node_accesses, 0u);
+      EXPECT_EQ(sharded.stats().queue_pushes, 0u);
     }
   }
   {

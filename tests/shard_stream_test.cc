@@ -227,9 +227,9 @@ TEST(ShardedParallelJoin, IneligibleConfigsFallBackToPassthrough) {
   }
 }
 
-// shards == 0 resolves through SDJ_SHARDS exactly like num_threads through
-// SDJ_THREADS; whatever the environment selects, the stream is the serial
-// one (this test runs under check.sh's SDJ_SHARDS=4 ctest pass too).
+// shards == 0 resolves through SDJ_SHARDS; whatever the environment
+// selects, the stream is the serial one (this test runs under check.sh's
+// SDJ_SHARDS=4 ctest pass too).
 TEST(ShardedParallelJoin, ZeroShardsResolvesFromEnvironment) {
   std::vector<JoinResult<2>> serial;
   {

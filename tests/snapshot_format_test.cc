@@ -44,8 +44,8 @@ struct Trees {
 };
 
 // Every knob that an environment variable could otherwise default is set
-// explicitly, so the pinned bytes hold under SDJ_THREADS, SDJ_SHARDS and
-// SDJ_SCREEN alike.
+// explicitly, so the pinned bytes hold under SDJ_SHARDS and SDJ_SCREEN
+// alike.
 DistanceJoinOptions JoinOptions() {
   DistanceJoinOptions options;
   options.num_threads = 1;

@@ -102,7 +102,6 @@
 #include <vector>
 
 #include "core/distance_join.h"
-#include "core/env_knobs.h"
 #include "core/join_cursor.h"
 #include "core/semi_join.h"
 #include "core/shard_merge.h"
@@ -591,18 +590,11 @@ int CmdJoin(const Flags& flags) {
   ta.pool().SetMetrics(obs.get());
   tb.pool().SetMetrics(obs.get());
 
-  int rc;
-  if (sdj::env_knobs::ResolveShards(options.shards) >= 2) {
-    // The wrapper itself falls back to a single passthrough engine for
-    // ineligible shapes (--reverse, --estimate), so no flag gymnastics here.
-    sdj::ShardedDistanceJoin<2> join(ta, tb, options);
-    rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  } else {
-    DistanceJoin<2> join(ta, tb, options);
-    rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  }
+  // At one shard, and for shapes the planner cannot partition (--reverse,
+  // --estimate), the wrapper runs one plain passthrough engine.
+  sdj::ShardedDistanceJoin<2> join(ta, tb, options);
+  int rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
+                     obs.get());
   if (faulty) {
     PrintFaultCounters("a", ta.injector());
     PrintFaultCounters("b", tb.injector());
@@ -662,16 +654,9 @@ int CmdSemiJoin(const Flags& flags) {
   ta.pool().SetMetrics(obs.get());
   tb.pool().SetMetrics(obs.get());
 
-  int rc;
-  if (sdj::env_knobs::ResolveShards(options.join.shards) >= 2) {
-    sdj::ShardedDistanceSemiJoin<2> semi(ta, tb, options);
-    rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  } else {
-    DistanceSemiJoin<2> semi(ta, tb, options);
-    rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  }
+  sdj::ShardedDistanceSemiJoin<2> semi(ta, tb, options);
+  int rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
+                     obs.get());
   if (faulty) {
     PrintFaultCounters("a", ta.injector());
     PrintFaultCounters("b", tb.injector());
